@@ -13,9 +13,9 @@ use lgv_net::{FaultKind, FaultSchedule};
 use lgv_offload::deploy::Deployment;
 use lgv_offload::mission::{self, MissionConfig, MissionReport, Workload};
 use lgv_offload::model::{Goal, VelocityModel};
+use lgv_offload::policy::PinPolicy;
 use lgv_offload::policy::PolicyKind;
 use lgv_offload::recovery::RecoveryConfig;
-use lgv_offload::strategy::PinPolicy;
 use lgv_sim::world::WorldBuilder;
 use lgv_sim::LidarConfig;
 use lgv_trace::{JsonlSink, TraceAnalysis, TraceReader, Tracer};

@@ -22,8 +22,7 @@
 use crate::classify::Classification;
 use crate::model::VelocityModel;
 use crate::netctl::{NetControl, NetControlConfig, NetDecision, NetInputs, SwitchCause};
-use crate::policy::{EnergyParams, NodeEstimates, OffloadPolicy, PolicyContext};
-use crate::strategy::PlacementPlan;
+use crate::policy::{EnergyParams, NodeEstimates, OffloadPolicy, PlacementPlan, PolicyContext};
 use lgv_trace::{TraceEvent, Tracer};
 use lgv_types::prelude::*;
 
@@ -313,8 +312,7 @@ mod tests {
     use super::*;
     use crate::classify::{classify, table2_with_map};
     use crate::model::Goal;
-    use crate::policy::{build, PolicyKind};
-    use crate::strategy::PinPolicy;
+    use crate::policy::{build, PinPolicy, PolicyKind};
 
     fn controller(adaptive: bool) -> Controller {
         Controller::new(

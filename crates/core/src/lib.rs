@@ -9,13 +9,12 @@
 //! * [`mod@classify`] — bottleneck identification (§IV-A): Energy-Critical
 //!   Nodes, the Velocity-Dependent Path, and the T1–T4 quadrants of
 //!   Fig. 4.
-//! * [`strategy`] — Algorithm 1: the fine-grained migration policy for
-//!   the EC (energy) and MCT (mission-completion-time) goals, with the
-//!   safety-critical pinning extension of §IX.
 //! * [`policy`] — the pluggable decision layer: the [`policy::OffloadPolicy`]
-//!   trait plus three raced implementations (Algorithm 1 behind the
-//!   trait, greedy global placement search, tabular contextual
-//!   bandit). See `docs/POLICY.md`.
+//!   trait plus three raced implementations: Algorithm 1 (the paper's
+//!   fine-grained migration rule for the EC (energy) and MCT
+//!   (mission-completion-time) goals, with the safety-critical pinning
+//!   extension of §IX), greedy global placement search, and a tabular
+//!   contextual bandit. See `docs/POLICY.md`.
 //! * [`netctl`] — Algorithm 2: offload network-quality control from
 //!   packet bandwidth + signal direction (and the latency-only
 //!   baseline it replaces, for the ablation).
@@ -54,7 +53,6 @@ pub mod policy;
 pub mod profiler;
 pub mod recovery;
 pub mod session;
-pub mod strategy;
 
 pub use classify::{classify, Classification, NodeProfile};
 pub use controller::{ControlDecision, ControlInputs, Controller, ControllerConfig};
@@ -67,9 +65,8 @@ pub use model::{max_velocity_oa, Goal, VelocityModel};
 pub use netctl::{NetControl, NetControlConfig, NetDecision};
 pub use policy::{
     Algorithm1Policy, BanditPolicy, EnergyParams, GlobalPlacementPolicy, NodeEstimates,
-    OffloadPolicy, PolicyContext, PolicyKind,
+    OffloadPolicy, PlacementPlan, PolicyContext, PolicyKind,
 };
 pub use profiler::Profiler;
 pub use recovery::{DegradedConfig, RecoveryConfig};
 pub use session::VehicleSession;
-pub use strategy::{OffloadStrategy, PlacementPlan};

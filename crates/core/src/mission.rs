@@ -21,10 +21,9 @@
 
 use crate::deploy::Deployment;
 use crate::model::{Goal, TimeBreakdown, VelocityModel};
-use crate::policy::PolicyKind;
+use crate::policy::{PinPolicy, PolicyKind};
 use crate::recovery::RecoveryConfig;
 use crate::session::VehicleSession;
-use crate::strategy::PinPolicy;
 use lgv_net::fault::FaultSchedule;
 use lgv_net::signal::WirelessConfig;
 use lgv_sim::energy::EnergyReport;

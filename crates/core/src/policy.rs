@@ -1,6 +1,6 @@
 //! The pluggable offload-decision layer.
 //!
-//! The paper's Algorithm 1 ([`OffloadStrategy`]) migrates nodes off a
+//! The paper's Algorithm 1 ([`Algorithm1Policy`]) migrates nodes off a
 //! fixed threshold rule, but offloading is really a *sequential
 //! decision problem* (Chinchali et al., "Network Offloading Policies
 //! for Cloud Robotics"): the best placement depends on context that
@@ -10,10 +10,10 @@
 //! trait so implementations can be raced head-to-head on identical
 //! inputs:
 //!
-//! * [`Algorithm1Policy`] — the paper's strategy behind the trait,
-//!   **byte-identical** to calling [`OffloadStrategy::decide`]
-//!   directly (the default; every pre-existing benchmark checksum is
-//!   pinned to it);
+//! * [`Algorithm1Policy`] — the paper's fine-grained migration rule
+//!   (§IV-B) for the EC and MCT goals, with the safety-pinning
+//!   extension of §IX ([`PinPolicy`]). It is the default; every
+//!   benchmark checksum is pinned to it;
 //! * [`GlobalPlacementPolicy`] — greedy state-space search over the
 //!   full node→tier assignment vector, scored by the analytical
 //!   model's predicted cycle time and vehicle energy (the muPlacer
@@ -39,8 +39,8 @@ use crate::classify::Classification;
 use crate::mission::MissionConfig;
 use crate::model::{Goal, VelocityModel};
 use crate::netctl::{NetDecision, NetVerdict};
-use crate::strategy::{OffloadStrategy, PinPolicy, PlacementPlan};
 use lgv_types::prelude::*;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -77,6 +77,51 @@ impl PolicyKind {
         PolicyKind::GlobalPlacement,
         PolicyKind::Bandit,
     ];
+}
+
+/// Safety-pinning extension: these nodes never leave the vehicle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct PinPolicy {
+    /// Nodes pinned to the LGV.
+    pub pinned_local: NodeSet,
+}
+
+impl PinPolicy {
+    /// Pin nothing (the paper's LGV evaluation).
+    pub fn none() -> Self {
+        PinPolicy::default()
+    }
+
+    /// Pin the whole control stage (the paper's suggestion for
+    /// faster vehicles: keep obstacle avoidance on board).
+    pub fn safety_critical() -> Self {
+        PinPolicy {
+            pinned_local: NodeSet::from_iter([NodeKind::PathTracking, NodeKind::VelocityMux]),
+        }
+    }
+}
+
+/// The outcome of one policy decision.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct PlacementPlan {
+    /// Nodes to run on the remote server.
+    pub remote: NodeSet,
+    /// The VDP makespan the plan expects (the min of local/cloud for
+    /// MCT; the cloud VDP for EC).
+    pub expected_vdp: Duration,
+    /// The Eq. 2c maximum velocity for that makespan.
+    pub max_velocity: f64,
+}
+
+impl PlacementPlan {
+    /// Placement of a specific node under this plan.
+    pub fn placement(&self, kind: NodeKind) -> Placement {
+        if self.remote.contains(kind) {
+            Placement::Remote
+        } else {
+            Placement::Local
+        }
+    }
 }
 
 /// Energy-model parameters the policies score placements with
@@ -226,11 +271,11 @@ pub fn build(
     seed: u64,
 ) -> Box<dyn OffloadPolicy> {
     match kind {
-        PolicyKind::Algorithm1 => Box::new(Algorithm1Policy::new(OffloadStrategy {
+        PolicyKind::Algorithm1 => Box::new(Algorithm1Policy {
             goal,
             velocity,
             pins,
-        })),
+        }),
         PolicyKind::GlobalPlacement => Box::new(GlobalPlacementPolicy::new(goal, velocity, pins)),
         PolicyKind::Bandit => Box::new(BanditPolicy::new(goal, velocity, pins, seed)),
     }
@@ -299,25 +344,103 @@ fn better(goal: Goal, a: (f64, f64), b: (f64, f64)) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 1 behind the trait
+// Algorithm 1
 // ---------------------------------------------------------------------------
 
-/// The paper's Algorithm 1 ported behind [`OffloadPolicy`].
+/// The paper's Algorithm 1: the fine-grained migration strategy
+/// (§IV-B).
 ///
-/// Byte-identical to calling [`OffloadStrategy::decide`] with the
-/// context's two makespans: it reads nothing else from the context
-/// (in particular it ignores [`PolicyContext::net`], because the
-/// historical pipeline evaluated the strategy before the network
-/// controller), so every pre-existing benchmark checksum is preserved.
+/// * **EC (energy) goal** — migrate every ECN (T1 + T3) to the remote
+///   server; the lightweight rest (T2 + T4) stays on the LGV.
+/// * **MCT (time) goal** — submit all ECNs, then compare the local VDP
+///   time `T_l^v` with the cloud VDP time `T_c` (remote processing +
+///   network latency). If the network makes the cloud VDP *slower*
+///   (`T_c > T_l^v`), migrate the T3 nodes back to the LGV — remote
+///   T1 nodes (e.g. SLAM) stay offloaded since they are off the
+///   critical path.
+///
+/// Either way, the maximum velocity is re-derived from the winning VDP
+/// makespan via Eq. 2c (`velocityOA`). The [`PinPolicy`] extension
+/// (§IX, "other robotic devices") keeps designated safety-critical
+/// nodes on the vehicle regardless of the goal.
+///
+/// Behind [`OffloadPolicy`] it reads only the context's two makespans.
+/// In particular it ignores [`PolicyContext::net`], because the
+/// historical pipeline evaluated Algorithm 1 before the network
+/// controller, so every benchmark checksum is preserved.
 #[derive(Debug, Clone)]
 pub struct Algorithm1Policy {
-    strategy: OffloadStrategy,
+    /// Optimization goal `G`.
+    pub goal: Goal,
+    /// Eq. 2c parameters.
+    pub velocity: VelocityModel,
+    /// Safety pinning (extension).
+    pub pins: PinPolicy,
 }
 
 impl Algorithm1Policy {
-    /// Wrap an Algorithm 1 strategy.
-    pub fn new(strategy: OffloadStrategy) -> Self {
-        Algorithm1Policy { strategy }
+    /// Algorithm 1 with the default velocity model and no pins.
+    ///
+    /// ```
+    /// use lgv_offload::classify::{classify, table2_without_map};
+    /// use lgv_offload::model::Goal;
+    /// use lgv_offload::policy::Algorithm1Policy;
+    /// use lgv_types::{Duration, NodeKind};
+    ///
+    /// let class = classify(&table2_without_map());
+    /// let policy = Algorithm1Policy::new(Goal::MissionTime);
+    /// // Good network: the whole ECN set goes to the server.
+    /// let plan = policy.plan(&class, Duration::from_millis(600), Duration::from_millis(60));
+    /// assert!(plan.remote.contains(NodeKind::Slam));
+    /// assert!(plan.remote.contains(NodeKind::PathTracking));
+    /// // Bad network: the VDP members come home, SLAM stays remote.
+    /// let plan = policy.plan(&class, Duration::from_millis(600), Duration::from_millis(900));
+    /// assert!(plan.remote.contains(NodeKind::Slam));
+    /// assert!(!plan.remote.contains(NodeKind::PathTracking));
+    /// ```
+    pub fn new(goal: Goal) -> Self {
+        Algorithm1Policy {
+            goal,
+            velocity: VelocityModel::default(),
+            pins: PinPolicy::none(),
+        }
+    }
+
+    /// Evaluate Algorithm 1.
+    ///
+    /// * `class` — the T1–T4 classification;
+    /// * `local_vdp` — `T_l^v`: VDP makespan with all VDP nodes local;
+    /// * `cloud_vdp` — `T_c`: VDP makespan with T3 offloaded,
+    ///   *including* network latency.
+    pub fn plan(
+        &self,
+        class: &Classification,
+        local_vdp: Duration,
+        cloud_vdp: Duration,
+    ) -> PlacementPlan {
+        // "submit all nodes ∈ ECN to the remote server"
+        let mut remote = class.ecn;
+
+        let mut expected_vdp = cloud_vdp;
+        if self.goal == Goal::MissionTime && cloud_vdp > local_vdp {
+            // "if Tc > Tl^v and G == MCT: migrate T3 back to the LGV"
+            remote = remote.difference(class.t3);
+            expected_vdp = local_vdp;
+        }
+
+        // Safety extension: pinned nodes stay local no matter what.
+        remote = remote.difference(self.pins.pinned_local);
+        if remote.intersection(class.t3) != class.t3 {
+            // Any T3 node forced local puts the local VDP time back on
+            // the critical path.
+            expected_vdp = expected_vdp.max(local_vdp);
+        }
+
+        PlacementPlan {
+            remote,
+            expected_vdp,
+            max_velocity: self.velocity.vmax(expected_vdp),
+        }
     }
 }
 
@@ -327,8 +450,7 @@ impl OffloadPolicy for Algorithm1Policy {
     }
 
     fn decide(&mut self, _now: SimTime, ctx: &PolicyContext<'_>) -> PlacementPlan {
-        self.strategy
-            .decide(ctx.class, ctx.local_vdp, ctx.cloud_vdp)
+        self.plan(ctx.class, ctx.local_vdp, ctx.cloud_vdp)
     }
 
     fn clone_box(&self) -> Box<dyn OffloadPolicy> {
@@ -680,36 +802,85 @@ mod tests {
     }
 
     #[test]
-    fn algorithm1_policy_is_byte_identical_to_the_strategy() {
-        // Sweep both goals, both classifications, both pin policies,
-        // and a makespan grid covering zero-RTT-fast-cloud, equal
-        // times, and slow-cloud regimes: the plan behind the trait
-        // must equal OffloadStrategy::decide exactly.
-        let classes = [
-            classify(&table2_with_map()),
-            classify(&table2_without_map()),
-        ];
-        let profiles = [table2_with_map(), table2_without_map()];
-        for (class, profile) in classes.iter().zip(&profiles) {
-            for goal in [Goal::MissionTime, Goal::Energy] {
-                for pins in [PinPolicy::none(), PinPolicy::safety_critical()] {
-                    let strategy = OffloadStrategy {
-                        goal,
-                        velocity: VelocityModel::default(),
-                        pins,
-                    };
-                    let mut policy = Algorithm1Policy::new(strategy.clone());
-                    for local in [0u64, 60, 100, 600, 900] {
-                        for cloud in [0u64, 60, 100, 600, 900] {
-                            let c = ctx(class, ms(local), ms(cloud), estimates(profile));
-                            let expect = strategy.decide(class, ms(local), ms(cloud));
-                            let got = policy.decide(SimTime::EPOCH, &c);
-                            assert_eq!(got, expect, "local={local} cloud={cloud} {goal:?}");
-                        }
-                    }
-                }
-            }
-        }
+    fn energy_goal_offloads_all_ecns() {
+        let class = classify(&table2_without_map());
+        let s = Algorithm1Policy::new(Goal::Energy);
+        // Even with terrible network, EC keeps ECNs remote.
+        let plan = s.plan(&class, ms(600), ms(900));
+        assert!(plan.remote.contains(NodeKind::Slam));
+        assert!(plan.remote.contains(NodeKind::CostmapGen));
+        assert!(plan.remote.contains(NodeKind::PathTracking));
+        assert!(!plan.remote.contains(NodeKind::Exploration));
+        assert!(!plan.remote.contains(NodeKind::VelocityMux));
+    }
+
+    #[test]
+    fn mct_goal_offloads_when_network_is_good() {
+        let class = classify(&table2_with_map());
+        let s = Algorithm1Policy::new(Goal::MissionTime);
+        let plan = s.plan(&class, ms(600), ms(60));
+        assert!(plan.remote.contains(NodeKind::CostmapGen));
+        assert!(plan.remote.contains(NodeKind::PathTracking));
+        assert_eq!(plan.expected_vdp, ms(60));
+        // Offloading must raise the velocity.
+        let local_plan = s.plan(&class, ms(600), ms(900));
+        assert!(plan.max_velocity > 2.0 * local_plan.max_velocity);
+    }
+
+    #[test]
+    fn mct_goal_migrates_t3_back_under_bad_network() {
+        let class = classify(&table2_without_map());
+        let s = Algorithm1Policy::new(Goal::MissionTime);
+        let plan = s.plan(&class, ms(600), ms(900));
+        // T3 (CostmapGen, PathTracking) back to the LGV…
+        assert!(!plan.remote.contains(NodeKind::CostmapGen));
+        assert!(!plan.remote.contains(NodeKind::PathTracking));
+        // …but T1 (SLAM) stays offloaded: off the critical path.
+        assert!(plan.remote.contains(NodeKind::Slam));
+        assert_eq!(plan.expected_vdp, ms(600));
+    }
+
+    #[test]
+    fn velocity_follows_eq_2c() {
+        let class = classify(&table2_with_map());
+        let s = Algorithm1Policy::new(Goal::MissionTime);
+        let plan = s.plan(&class, ms(600), ms(50));
+        assert!((plan.max_velocity - s.velocity.vmax(ms(50))).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pinning_keeps_safety_nodes_local() {
+        let class = classify(&table2_with_map());
+        let s = Algorithm1Policy {
+            goal: Goal::MissionTime,
+            velocity: VelocityModel::default(),
+            pins: PinPolicy::safety_critical(),
+        };
+        let plan = s.plan(&class, ms(600), ms(50));
+        assert!(!plan.remote.contains(NodeKind::PathTracking));
+        assert!(!plan.remote.contains(NodeKind::VelocityMux));
+        // CostmapGen (unpinned T3) may still go remote.
+        assert!(plan.remote.contains(NodeKind::CostmapGen));
+        // With part of the VDP forced local, the expected makespan
+        // reverts to the local bound.
+        assert_eq!(plan.expected_vdp, ms(600));
+    }
+
+    #[test]
+    fn placement_accessor() {
+        let class = classify(&table2_with_map());
+        let plan = Algorithm1Policy::new(Goal::Energy).plan(&class, ms(600), ms(60));
+        assert_eq!(plan.placement(NodeKind::PathTracking), Placement::Remote);
+        assert_eq!(plan.placement(NodeKind::VelocityMux), Placement::Local);
+    }
+
+    #[test]
+    fn equal_times_prefer_offloading() {
+        // Tc == Tl^v is not "Tc > Tl^v": stay offloaded.
+        let class = classify(&table2_with_map());
+        let s = Algorithm1Policy::new(Goal::MissionTime);
+        let plan = s.plan(&class, ms(100), ms(100));
+        assert!(plan.remote.contains(NodeKind::PathTracking));
     }
 
     #[test]
@@ -718,7 +889,7 @@ mod tests {
         // cloud VDP below local, so T3 stays remote and the expected
         // makespan is the cloud one.
         let class = classify(&table2_with_map());
-        let mut p = Algorithm1Policy::new(OffloadStrategy::new(Goal::MissionTime));
+        let mut p = Algorithm1Policy::new(Goal::MissionTime);
         let mut c = ctx(&class, ms(600), ms(40), estimates(&table2_with_map()));
         c.rtt = Duration::ZERO;
         let plan = p.decide(SimTime::EPOCH, &c);
@@ -730,7 +901,7 @@ mod tests {
     fn equal_local_and_remote_times_prefer_offloading() {
         // Tc == Tl^v is not "Tc > Tl^v": Algorithm 1 keeps T3 remote.
         let class = classify(&table2_with_map());
-        let mut p = Algorithm1Policy::new(OffloadStrategy::new(Goal::MissionTime));
+        let mut p = Algorithm1Policy::new(Goal::MissionTime);
         let c = ctx(&class, ms(100), ms(100), estimates(&table2_with_map()));
         let plan = p.decide(SimTime::EPOCH, &c);
         assert!(plan.remote.contains(NodeKind::PathTracking));
@@ -848,7 +1019,7 @@ mod tests {
             7,
         );
         assert!(bandit.decide(SimTime::EPOCH, &c).remote.is_empty());
-        let mut alg1 = Algorithm1Policy::new(OffloadStrategy::new(Goal::MissionTime));
+        let mut alg1 = Algorithm1Policy::new(Goal::MissionTime);
         assert!(alg1
             .decide(SimTime::EPOCH, &c)
             .remote

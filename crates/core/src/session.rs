@@ -29,9 +29,8 @@ use crate::migration::{MigrationEvent, MigrationManager};
 use crate::mission::{MissionConfig, MissionReport, NetSample, VelocitySample, Workload};
 use crate::model::TimeBreakdown;
 use crate::netctl::{NetControlConfig, NetDecision, SwitchCause};
-use crate::policy::{self, EnergyParams, NodeEstimates};
+use crate::policy::{self, EnergyParams, NodeEstimates, PlacementPlan};
 use crate::profiler::Profiler;
-use crate::strategy::PlacementPlan;
 use lgv_middleware::{Bus, Switcher, SwitcherConfig, TopicName};
 use lgv_nav::costmap::{Costmap, CostmapConfig};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner};

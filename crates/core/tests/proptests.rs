@@ -4,8 +4,8 @@
 use lgv_offload::classify::{classify, NodeProfile};
 use lgv_offload::model::{max_velocity_oa, Goal, VelocityModel};
 use lgv_offload::netctl::{NetControl, NetControlConfig, NetDecision};
+use lgv_offload::policy::{Algorithm1Policy, PinPolicy};
 use lgv_offload::profiler::Profiler;
-use lgv_offload::strategy::{OffloadStrategy, PinPolicy};
 use lgv_types::prelude::*;
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ proptest! {
     ) {
         let c = classify(&profiles);
         let goal = if mct { Goal::MissionTime } else { Goal::Energy };
-        let plan = OffloadStrategy::new(goal).decide(
+        let plan = Algorithm1Policy::new(goal).plan(
             &c,
             Duration::from_millis(local_ms),
             Duration::from_millis(cloud_ms),
@@ -68,7 +68,7 @@ proptest! {
         cloud_ms in 1u64..2000,
     ) {
         let c = classify(&profiles);
-        let plan = OffloadStrategy::new(Goal::MissionTime).decide(
+        let plan = Algorithm1Policy::new(Goal::MissionTime).plan(
             &c,
             Duration::from_millis(local_ms),
             Duration::from_millis(cloud_ms),
@@ -92,12 +92,12 @@ proptest! {
             NodeKind::ALL.iter().enumerate().filter(|(i, _)| pin_bits & (1 << i) != 0).map(|(_, &k)| k),
         );
         let c = classify(&profiles);
-        let strategy = OffloadStrategy {
+        let policy = Algorithm1Policy {
             goal: Goal::Energy,
             velocity: VelocityModel::default(),
             pins: PinPolicy { pinned_local: pinned },
         };
-        let plan = strategy.decide(&c, Duration::from_millis(local_ms), Duration::from_millis(cloud_ms));
+        let plan = policy.plan(&c, Duration::from_millis(local_ms), Duration::from_millis(cloud_ms));
         prop_assert!(plan.remote.intersection(pinned).is_empty());
     }
 

@@ -10,33 +10,44 @@ use crate::codec::{from_bytes, to_bytes, CodecError};
 use crate::topic::TopicName;
 use bytes::Bytes;
 use lgv_trace::{MsgId, TraceEvent, Tracer};
-use parking_lot::Mutex;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Lock without poisoning: a panic while the lock was held leaves the
+/// bus usable, since every critical section keeps its state valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug)]
 struct SubQueue {
     cap: usize,
+    state: Mutex<QueueState>,
+}
+
+/// A subscriber's queue and its drop counter, guarded by one lock.
+#[derive(Debug)]
+struct QueueState {
     /// Payload plus the lineage id of its publish.
-    queue: Mutex<VecDeque<(Bytes, MsgId)>>,
-    dropped: Mutex<u64>,
+    items: VecDeque<(Bytes, MsgId)>,
+    dropped: u64,
 }
 
 impl SubQueue {
     /// Enqueue; returns the lineage id of the oldest message when a
     /// full queue dropped it.
     fn push(&self, b: Bytes, msg: MsgId) -> Option<MsgId> {
-        let mut q = self.queue.lock();
-        let dropped = if q.len() == self.cap {
-            let (_, old) = q.pop_front().expect("cap > 0");
-            *self.dropped.lock() += 1;
+        let mut q = lock(&self.state);
+        let dropped = if q.items.len() == self.cap {
+            let (_, old) = q.items.pop_front().expect("cap > 0");
+            q.dropped += 1;
             Some(old)
         } else {
             None
         };
-        q.push_back((b, msg));
+        q.items.push_back((b, msg));
         dropped
     }
 }
@@ -80,11 +91,12 @@ impl Bus {
         assert!(cap > 0, "queue capacity must be at least 1");
         let q = Arc::new(SubQueue {
             cap,
-            queue: Mutex::new(VecDeque::with_capacity(cap)),
-            dropped: Mutex::new(0),
+            state: Mutex::new(QueueState {
+                items: VecDeque::with_capacity(cap),
+                dropped: 0,
+            }),
         });
-        self.inner
-            .lock()
+        lock(&self.inner)
             .topics
             .entry(topic)
             .or_default()
@@ -96,7 +108,7 @@ impl Bus {
     /// Route this bus's publish/drop events to `tracer` (timestamps
     /// come from the tracer's shared virtual clock).
     pub fn set_tracer(&self, tracer: Tracer) {
-        self.inner.lock().tracer = tracer;
+        lock(&self.inner).tracer = tracer;
     }
 
     /// Publish raw bytes to a topic, returning the lineage id
@@ -110,7 +122,7 @@ impl Bus {
     /// was first published on a peer host's bus, so traces chain the
     /// re-publication back to the original publish.
     pub fn publish_bytes_from(&self, topic: TopicName, bytes: Bytes, parent: MsgId) -> MsgId {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let len = bytes.len() as u64;
         let msg = inner.tracer.alloc_msg();
         let state = inner.topics.entry(topic).or_default();
@@ -159,8 +171,7 @@ impl Bus {
     /// The most recently published bytes on a topic ("latched" read,
     /// like a ROS latched topic), regardless of subscriptions.
     pub fn latest_bytes(&self, topic: TopicName) -> Option<Bytes> {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .topics
             .get(&topic)
             .and_then(|t| t.latest.clone())
@@ -173,8 +184,7 @@ impl Bus {
 
     /// Total messages ever published on a topic.
     pub fn publish_count(&self, topic: TopicName) -> u64 {
-        self.inner
-            .lock()
+        lock(&self.inner)
             .topics
             .get(&topic)
             .map_or(0, |t| t.publish_count)
@@ -215,7 +225,7 @@ impl Subscriber {
 
     /// Pop the oldest queued raw message with its lineage id.
     pub fn recv_bytes_tagged(&self) -> Option<(Bytes, MsgId)> {
-        self.queue.queue.lock().pop_front()
+        lock(&self.queue.state).items.pop_front()
     }
 
     /// Pop and decode the oldest queued message.
@@ -249,7 +259,7 @@ impl Subscriber {
 
     /// Messages currently queued.
     pub fn len(&self) -> usize {
-        self.queue.queue.lock().len()
+        lock(&self.queue.state).items.len()
     }
 
     /// True when nothing is queued.
@@ -259,7 +269,7 @@ impl Subscriber {
 
     /// Messages dropped from this queue because it was full.
     pub fn dropped(&self) -> u64 {
-        *self.queue.dropped.lock()
+        lock(&self.queue.state).dropped
     }
 
     /// The subscribed topic.

@@ -2,8 +2,10 @@
 //!
 //! The paper's cloud acceleration spins up a thread pool of `N`
 //! threads and hands each a slice of `M/N` particles. We implement the
-//! same structure with `crossbeam`'s scoped threads: safe borrowing of
-//! the particle array, disjoint `&mut` chunks, no `'static` bounds.
+//! same structure with `std::thread::scope`: safe borrowing of the
+//! particle array, disjoint `&mut` chunks, no `'static` bounds. A
+//! panicking worker propagates its panic to the caller once every
+//! worker has joined.
 //! Thread count 1 short-circuits to inline execution so the
 //! single-thread baseline pays no dispatch cost (mirroring the
 //! platform timing model in `lgv-sim`).
@@ -56,18 +58,17 @@ impl ParallelExecutor {
         let mut results: Vec<Option<(R, prof::ProfileTree)>> = Vec::new();
         results.resize_with(items.len().div_ceil(chunk), || None);
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (slot, part) in results.iter_mut().zip(items.chunks_mut(chunk)) {
                 let f = &f;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let r = f(part);
                     // Harvest this worker's profile alongside its
                     // result (an empty tree when not collecting).
                     *slot = Some((r, prof::take_thread()));
                 });
             }
-        })
-        .expect("worker thread panicked");
+        });
 
         results
             .into_iter()
@@ -178,6 +179,18 @@ mod tests {
         let kernel = tree.nodes()[job].children[0];
         assert_eq!(tree.path(kernel), "job;kernel");
         assert_eq!(tree.nodes()[kernel].count, 4, "one visit per chunk");
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_reaches_the_caller() {
+        let ex = ParallelExecutor::new(4);
+        let mut v: Vec<u32> = (0..16).collect();
+        ex.run_chunks(&mut v, |c| {
+            if c.contains(&9) {
+                panic!("worker boom");
+            }
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Documentation gate: rustdoc warnings denied, doctests, and the trace
-# schema-drift check. Invoked by scripts/ci.sh stage 5 and runnable on
+# Documentation gate: rustdoc warnings denied, doctests, the trace
+# schema-drift check, and the shim-table drift check. Invoked by scripts/ci.sh stage 5 and runnable on
 # its own.
 #
 # The schema-drift check keeps docs/OBSERVABILITY.md honest: every
@@ -46,6 +46,20 @@ if ! diff <(echo "$code_schemas") <(echo "$doc_schemas") >/dev/null; then
     exit 1
 fi
 echo "$(echo "$code_schemas" | wc -l) artifact schemas documented, no drift"
+
+echo "-- shim table drift (crates/shims/ vs crates/shims/README.md)"
+# Every shim crate directory must have a row in the README's table, and
+# every row must name a shim that exists — removing or adding a shim
+# without touching the table fails CI.
+dir_shims=$(find crates/shims -mindepth 1 -maxdepth 1 -type d -printf '%f\n' | sort -u)
+doc_shims=$(grep -oE '^\| `[a-z_]+` \|' crates/shims/README.md \
+    | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u)
+if ! diff <(echo "$dir_shims") <(echo "$doc_shims") >/dev/null; then
+    echo "shims out of sync (< crates/shims/ only, > README only):"
+    diff <(echo "$dir_shims") <(echo "$doc_shims") | grep '^[<>]' || true
+    exit 1
+fi
+echo "$(echo "$dir_shims" | wc -l) shims documented, no drift"
 
 echo "-- cross-linked docs exist"
 # The navigable doc set (README -> ARCHITECTURE -> subsystem docs);

@@ -10,7 +10,7 @@ use cloud_lgv::net::FaultSchedule;
 use cloud_lgv::offload::deploy::Deployment;
 use cloud_lgv::offload::mission::{self, MissionConfig, MissionReport, Workload};
 use cloud_lgv::offload::model::{Goal, VelocityModel};
-use cloud_lgv::offload::strategy::PinPolicy;
+use cloud_lgv::offload::policy::PinPolicy;
 use cloud_lgv::sim::world::WorldBuilder;
 use cloud_lgv::sim::LidarConfig;
 use cloud_lgv::trace::{JsonlSink, TraceAnalysis, TraceReader, Tracer};

@@ -6,8 +6,7 @@ use cloud_lgv::offload::classify::{classify, table2_with_map, table2_without_map
 use cloud_lgv::offload::deploy::Deployment;
 use cloud_lgv::offload::mission::{self, MissionConfig, Workload};
 use cloud_lgv::offload::model::{Goal, VelocityModel};
-use cloud_lgv::offload::policy::PolicyKind;
-use cloud_lgv::offload::strategy::{OffloadStrategy, PinPolicy};
+use cloud_lgv::offload::policy::{Algorithm1Policy, PinPolicy, PolicyKind};
 use cloud_lgv::prelude::*;
 use cloud_lgv::sim::energy::Component;
 use cloud_lgv::sim::world::WorldBuilder;
@@ -139,8 +138,8 @@ fn energy_goal_vs_time_goal_placements() {
     let class = classify(&table2_without_map());
     let bad_net_local = Duration::from_millis(500);
     let bad_net_cloud = Duration::from_millis(800);
-    let mct = OffloadStrategy::new(Goal::MissionTime).decide(&class, bad_net_local, bad_net_cloud);
-    let ec = OffloadStrategy::new(Goal::Energy).decide(&class, bad_net_local, bad_net_cloud);
+    let mct = Algorithm1Policy::new(Goal::MissionTime).plan(&class, bad_net_local, bad_net_cloud);
+    let ec = Algorithm1Policy::new(Goal::Energy).plan(&class, bad_net_local, bad_net_cloud);
     assert!(!mct.remote.contains(NodeKind::PathTracking));
     assert!(ec.remote.contains(NodeKind::PathTracking));
     // Both keep the off-path ECN (SLAM) remote.

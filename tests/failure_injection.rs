@@ -8,8 +8,8 @@ use cloud_lgv::net::signal::WirelessConfig;
 use cloud_lgv::offload::deploy::Deployment;
 use cloud_lgv::offload::mission::{self, MissionConfig, Workload};
 use cloud_lgv::offload::model::{Goal, VelocityModel};
+use cloud_lgv::offload::policy::PinPolicy;
 use cloud_lgv::offload::policy::PolicyKind;
-use cloud_lgv::offload::strategy::PinPolicy;
 use cloud_lgv::prelude::*;
 use cloud_lgv::sim::world::WorldBuilder;
 use cloud_lgv::sim::LidarConfig;
