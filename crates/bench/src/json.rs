@@ -1,6 +1,6 @@
 //! A minimal JSON reader for the suite's own artifacts.
 //!
-//! The workspace is hermetic (no serde_json), and the only JSON this
+//! The workspace is hermetic (no JSON crate), and the only JSON this
 //! crate ever *reads back* is JSON it wrote itself
 //! (`BENCH_suite.json`, `BENCH_profile.json`, `BENCH_history.jsonl`) —
 //! so a small recursive-descent parser into a dynamic [`Value`] is all

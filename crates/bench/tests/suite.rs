@@ -237,7 +237,7 @@ fn committed_bench_artifact_matches_registry() {
 
 // ------------------------------------------------------------------
 // Minimal JSON syntax checker (the workspace is hermetic — no
-// serde_json), enough to catch malformed artifacts: verifies the text
+// JSON crate), enough to catch malformed artifacts: verifies the text
 // is exactly one well-formed JSON value.
 
 fn json_validate(text: &str) -> Result<(), String> {

@@ -40,7 +40,6 @@ use crate::mission::MissionConfig;
 use crate::model::{Goal, VelocityModel};
 use crate::netctl::{NetDecision, NetVerdict};
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -80,7 +79,7 @@ impl PolicyKind {
 }
 
 /// Safety-pinning extension: these nodes never leave the vehicle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PinPolicy {
     /// Nodes pinned to the LGV.
     pub pinned_local: NodeSet,
@@ -102,7 +101,7 @@ impl PinPolicy {
 }
 
 /// The outcome of one policy decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementPlan {
     /// Nodes to run on the remote server.
     pub remote: NodeSet,

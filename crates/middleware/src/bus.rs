@@ -6,12 +6,10 @@
 //! completeness policy the paper's VDP links rely on (a queue capacity
 //! of 1 is exactly the "one-length queue" of §VI).
 
-use crate::codec::{from_bytes, to_bytes, CodecError};
+use crate::codec::{from_bytes, to_bytes, CodecError, Wire};
 use crate::topic::TopicName;
 use bytes::Bytes;
 use lgv_trace::{MsgId, TraceEvent, Tracer};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -152,13 +150,13 @@ impl Bus {
     }
 
     /// Serialize and publish a message, returning its lineage id.
-    pub fn publish<T: Serialize>(&self, topic: TopicName, msg: &T) -> Result<MsgId, CodecError> {
+    pub fn publish<T: Wire>(&self, topic: TopicName, msg: &T) -> Result<MsgId, CodecError> {
         let b = to_bytes(msg)?;
         Ok(self.publish_bytes(topic, b))
     }
 
     /// Serialize and publish with an explicit lineage parent.
-    pub fn publish_from<T: Serialize>(
+    pub fn publish_from<T: Wire>(
         &self,
         topic: TopicName,
         msg: &T,
@@ -178,7 +176,7 @@ impl Bus {
     }
 
     /// Decode the most recent message on a topic.
-    pub fn latest<T: DeserializeOwned>(&self, topic: TopicName) -> Option<T> {
+    pub fn latest<T: Wire>(&self, topic: TopicName) -> Option<T> {
         self.latest_bytes(topic).and_then(|b| from_bytes(&b).ok())
     }
 
@@ -200,7 +198,7 @@ pub struct Publisher {
 
 impl Publisher {
     /// Publish one message, returning its lineage id.
-    pub fn send<T: Serialize>(&self, msg: &T) -> Result<MsgId, CodecError> {
+    pub fn send<T: Wire>(&self, msg: &T) -> Result<MsgId, CodecError> {
         self.bus.publish(self.topic, msg)
     }
 
@@ -229,7 +227,7 @@ impl Subscriber {
     }
 
     /// Pop and decode the oldest queued message.
-    pub fn recv<T: DeserializeOwned>(&self) -> Result<Option<T>, CodecError> {
+    pub fn recv<T: Wire>(&self) -> Result<Option<T>, CodecError> {
         match self.recv_bytes() {
             None => Ok(None),
             Some(b) => from_bytes(&b).map(Some),
@@ -238,15 +236,13 @@ impl Subscriber {
 
     /// Drain the queue, returning only the newest message (the common
     /// freshness pattern for one-length control queues).
-    pub fn recv_latest<T: DeserializeOwned>(&self) -> Result<Option<T>, CodecError> {
+    pub fn recv_latest<T: Wire>(&self) -> Result<Option<T>, CodecError> {
         Ok(self.recv_latest_tagged()?.map(|(msg, _)| msg))
     }
 
     /// Like [`Subscriber::recv_latest`], keeping the lineage id so the
     /// consumer can attribute downstream work to the message.
-    pub fn recv_latest_tagged<T: DeserializeOwned>(
-        &self,
-    ) -> Result<Option<(T, MsgId)>, CodecError> {
+    pub fn recv_latest_tagged<T: Wire>(&self) -> Result<Option<(T, MsgId)>, CodecError> {
         let mut last = None;
         while let Some(pair) = self.recv_bytes_tagged() {
             last = Some(pair);

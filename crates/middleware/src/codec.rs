@@ -1,23 +1,26 @@
-//! Compact binary serde codec.
+//! Compact binary codec for the messages that cross the link.
 //!
 //! The paper serializes ROS messages with protobuf for efficient
 //! transmission (§VII); protobuf is outside our allowed dependency
-//! set, so this module implements an equivalent little-endian,
-//! non-self-describing wire format directly against the `serde` data
-//! model:
+//! set, so this module hand-writes an equivalent little-endian,
+//! non-self-describing wire format through the [`Wire`] trait:
 //!
 //! * fixed-width little-endian integers and floats;
-//! * `u64` length prefixes for strings, byte arrays, sequences, maps;
-//! * one byte for `bool` / `Option` tags;
-//! * `u32` variant indices for enums;
+//! * `u64` length prefixes for strings and sequences;
+//! * one tag byte for `Option`;
+//! * `u32` declaration-order variant indices for enums;
 //! * struct fields in declaration order, no field names on the wire.
 //!
 //! Because the format is non-self-describing, both ends must agree on
 //! the message type — which the topic name guarantees, as in ROS.
+//! [`Wire`] is implemented here, and only here, for the types that
+//! travel: [`LaserScan`], [`VelocityCmd`] and the switcher's
+//! [`Envelope`], the types they contain, and the primitives the bus
+//! tests publish.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
+use crate::switcher::Envelope;
+use bytes::{BufMut, Bytes, BytesMut};
+use lgv_types::prelude::*;
 use std::fmt;
 
 /// Encoding/decoding failure.
@@ -32,16 +35,21 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
-}
+/// A type with a fixed binary wire encoding.
+///
+/// `decode` consumes exactly the bytes `encode` wrote and returns
+/// `Err` — never panics — on short or malformed input.
+pub trait Wire: Sized {
+    /// Fewest bytes any encoding of `Self` occupies (at least 1).
+    /// Sequence decoders check length prefixes against it before
+    /// allocating.
+    const MIN_WIDTH: usize;
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
+    /// Append the encoding of `self` to `out`.
+    fn encode(&self, out: &mut BytesMut);
+
+    /// Decode one value from the front of `input`, advancing it.
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
 }
 
 /// Serialize a value into bytes.
@@ -55,534 +63,235 @@ impl de::Error for CodecError {
 /// let back: Twist = from_bytes(&wire).unwrap();
 /// assert_eq!(back, cmd);
 /// ```
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Bytes, CodecError> {
-    let mut ser = BinSerializer {
-        out: BytesMut::with_capacity(128),
-    };
-    value.serialize(&mut ser)?;
-    Ok(ser.out.freeze())
+pub fn to_bytes<T: Wire>(value: &T) -> Result<Bytes, CodecError> {
+    let mut out = BytesMut::with_capacity(128);
+    value.encode(&mut out);
+    Ok(out.freeze())
 }
 
 /// Deserialize a value from bytes, requiring the buffer to be fully
 /// consumed (trailing garbage indicates a framing bug).
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut de = BinDeserializer { input: bytes };
-    let v = T::deserialize(&mut de)?;
-    if !de.input.is_empty() {
-        return Err(CodecError(format!("{} trailing bytes", de.input.len())));
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, CodecError> {
+    let mut input = bytes;
+    let v = T::decode(&mut input)?;
+    if !input.is_empty() {
+        return Err(CodecError(format!("{} trailing bytes", input.len())));
     }
     Ok(v)
 }
 
-struct BinSerializer {
-    out: BytesMut,
+fn eof(need: usize, input: &[u8]) -> CodecError {
+    CodecError(format!("unexpected EOF: need {need}, have {}", input.len()))
 }
 
-impl ser::Serializer for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.put_u8(v as u8);
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.out.put_i8(v);
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.out.put_i16_le(v);
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.out.put_i32_le(v);
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.put_i64_le(v);
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.out.put_u8(v);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.out.put_u16_le(v);
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.out.put_u32_le(v);
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.out.put_u64_le(v);
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.put_f32_le(v);
-        Ok(())
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.put_f64_le(v);
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.out.put_u32_le(v as u32);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.serialize_bytes(v.as_bytes())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.out.put_u64_le(v.len() as u64);
-        self.out.put_slice(v);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.put_u8(0);
-        Ok(())
-    }
-    fn serialize_some<T: ?Sized + Serialize>(self, v: &T) -> Result<(), CodecError> {
-        self.out.put_u8(1);
-        v.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _: &'static str) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-    ) -> Result<(), CodecError> {
-        self.out.put_u32_le(idx);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: ?Sized + Serialize>(
-        self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        v.serialize(self)
-    }
-    fn serialize_newtype_variant<T: ?Sized + Serialize>(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        self.out.put_u32_le(idx);
-        v.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("sequences need a known length".into()))?;
-        self.out.put_u64_le(len as u64);
-        Ok(self)
-    }
-    fn serialize_tuple(self, _: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_struct(self, _: &'static str, _: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-        _: usize,
-    ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(idx);
-        Ok(self)
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
-        let len = len.ok_or_else(|| CodecError("maps need a known length".into()))?;
-        self.out.put_u64_le(len as u64);
-        Ok(self)
-    }
-    fn serialize_struct(self, _: &'static str, _: usize) -> Result<Self, CodecError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _: &'static str,
-        idx: u32,
-        _: &'static str,
-        _: usize,
-    ) -> Result<Self, CodecError> {
-        self.out.put_u32_le(idx);
-        Ok(self)
-    }
+/// Split `n` bytes off the front of `input`.
+fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    let (head, rest) = input.split_at_checked(n).ok_or_else(|| eof(n, input))?;
+    *input = rest;
+    Ok(head)
 }
 
-macro_rules! impl_seq_like {
-    ($trait:path, $method:ident) => {
-        impl $trait for &mut BinSerializer {
-            type Ok = ();
-            type Error = CodecError;
-            fn $method<T: ?Sized + Serialize>(&mut self, v: &T) -> Result<(), CodecError> {
-                v.serialize(&mut **self)
+/// Split a fixed-width array off the front of `input`.
+fn take_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = input.split_first_chunk().ok_or_else(|| eof(N, input))?;
+    *input = rest;
+    Ok(*head)
+}
+
+/// Read a `u64` length prefix counting elements of `min_width` bytes
+/// each, rejecting any count the remaining input cannot hold.
+fn take_len(input: &mut &[u8], min_width: usize) -> Result<usize, CodecError> {
+    let n = u64::decode(input)?;
+    if n > (input.len() / min_width) as u64 {
+        return Err(CodecError(format!(
+            "length {n} exceeds remaining input of {} bytes",
+            input.len()
+        )));
+    }
+    Ok(n as usize)
+}
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_WIDTH: usize = std::mem::size_of::<$t>();
+            fn encode(&self, out: &mut BytesMut) {
+                out.put_slice(&self.to_le_bytes());
             }
-            fn end(self) -> Result<(), CodecError> {
-                Ok(())
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                take_array(input).map(<$t>::from_le_bytes)
             }
         }
-    };
+    )*};
 }
 
-impl_seq_like!(ser::SerializeSeq, serialize_element);
-impl_seq_like!(ser::SerializeTuple, serialize_element);
-impl_seq_like!(ser::SerializeTupleStruct, serialize_field);
-impl_seq_like!(ser::SerializeTupleVariant, serialize_field);
+wire_le!(u8, u32, u64, f64);
 
-impl ser::SerializeMap for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: ?Sized + Serialize>(&mut self, k: &T) -> Result<(), CodecError> {
-        k.serialize(&mut **self)
+impl Wire for String {
+    const MIN_WIDTH: usize = 8;
+    fn encode(&self, out: &mut BytesMut) {
+        (self.len() as u64).encode(out);
+        out.put_slice(self.as_bytes());
     }
-    fn serialize_value<T: ?Sized + Serialize>(&mut self, v: &T) -> Result<(), CodecError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let n = take_len(input, 1)?;
+        let s = std::str::from_utf8(take(input, n)?)
+            .map_err(|e| CodecError(format!("invalid utf8: {e}")))?;
+        Ok(s.to_string())
     }
 }
 
-impl ser::SerializeStruct for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut BinSerializer {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: ?Sized + Serialize>(
-        &mut self,
-        _: &'static str,
-        v: &T,
-    ) -> Result<(), CodecError> {
-        v.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-struct BinDeserializer<'de> {
-    input: &'de [u8],
-}
-
-impl<'de> BinDeserializer<'de> {
-    fn need(&self, n: usize) -> Result<(), CodecError> {
-        if self.input.remaining() < n {
-            Err(CodecError(format!(
-                "unexpected EOF: need {n}, have {}",
-                self.input.len()
-            )))
-        } else {
-            Ok(())
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_WIDTH: usize = 8;
+    fn encode(&self, out: &mut BytesMut) {
+        (self.len() as u64).encode(out);
+        for v in self {
+            v.encode(out);
         }
     }
-
-    fn take_len(&mut self) -> Result<usize, CodecError> {
-        self.need(8)?;
-        let n = self.input.get_u64_le();
-        if n > self.input.len() as u64 {
-            return Err(CodecError(format!("length {n} exceeds remaining input")));
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let n = take_len(input, T::MIN_WIDTH)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::decode(input)?);
         }
-        Ok(n as usize)
+        Ok(v)
     }
 }
 
-macro_rules! de_prim {
-    ($fn:ident, $visit:ident, $get:ident, $n:expr) => {
-        fn $fn<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-            self.need($n)?;
-            visitor.$visit(self.input.$get())
-        }
-    };
-}
-
-impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
-    type Error = CodecError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, _: V) -> Result<V::Value, CodecError> {
-        Err(CodecError("format is not self-describing".into()))
-    }
-
-    fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.need(1)?;
-        match self.input.get_u8() {
-            0 => visitor.visit_bool(false),
-            1 => visitor.visit_bool(true),
-            b => Err(CodecError(format!("invalid bool byte {b}"))),
+impl<T: Wire> Wire for Option<T> {
+    const MIN_WIDTH: usize = 1;
+    fn encode(&self, out: &mut BytesMut) {
+        match self {
+            None => out.put_u8(0),
+            Some(v) => {
+                out.put_u8(1);
+                v.encode(out);
+            }
         }
     }
-
-    de_prim!(deserialize_i8, visit_i8, get_i8, 1);
-    de_prim!(deserialize_i16, visit_i16, get_i16_le, 2);
-    de_prim!(deserialize_i32, visit_i32, get_i32_le, 4);
-    de_prim!(deserialize_i64, visit_i64, get_i64_le, 8);
-    de_prim!(deserialize_u8, visit_u8, get_u8, 1);
-    de_prim!(deserialize_u16, visit_u16, get_u16_le, 2);
-    de_prim!(deserialize_u32, visit_u32, get_u32_le, 4);
-    de_prim!(deserialize_u64, visit_u64, get_u64_le, 8);
-    de_prim!(deserialize_f32, visit_f32, get_f32_le, 4);
-    de_prim!(deserialize_f64, visit_f64, get_f64_le, 8);
-
-    fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.need(4)?;
-        let c = self.input.get_u32_le();
-        visitor.visit_char(char::from_u32(c).ok_or_else(|| CodecError(format!("bad char {c}")))?)
-    }
-
-    fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        let (s, rest) = self.input.split_at(n);
-        self.input = rest;
-        visitor.visit_str(
-            std::str::from_utf8(s).map_err(|e| CodecError(format!("invalid utf8: {e}")))?,
-        )
-    }
-
-    fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_str(visitor)
-    }
-
-    fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        let (b, rest) = self.input.split_at(n);
-        self.input = rest;
-        visitor.visit_bytes(b)
-    }
-
-    fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.deserialize_bytes(visitor)
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        self.need(1)?;
-        match self.input.get_u8() {
-            0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(input)? {
+            0 => Ok(None),
+            1 => T::decode(input).map(Some),
             b => Err(CodecError(format!("invalid option tag {b}"))),
         }
     }
+}
 
-    fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_WIDTH: usize = A::MIN_WIDTH + B::MIN_WIDTH;
+    fn encode(&self, out: &mut BytesMut) {
+        self.0.encode(out);
+        self.1.encode(out);
     }
-
-    fn deserialize_unit_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_unit()
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        visitor.visit_seq(CountedSeq {
-            de: self,
-            remaining: n,
-        })
-    }
-
-    fn deserialize_tuple<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_seq(CountedSeq {
-            de: self,
-            remaining: len,
-        })
-    }
-
-    fn deserialize_tuple_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(len, visitor)
-    }
-
-    fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        let n = self.take_len()?;
-        visitor.visit_map(CountedMap {
-            de: self,
-            remaining: n,
-        })
-    }
-
-    fn deserialize_struct<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        self.deserialize_tuple(fields.len(), visitor)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _: &'static str,
-        _: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_enum(EnumAccess { de: self })
-    }
-
-    fn deserialize_identifier<V: Visitor<'de>>(self, _: V) -> Result<V::Value, CodecError> {
-        Err(CodecError("identifiers are not encoded".into()))
-    }
-
-    fn deserialize_ignored_any<V: Visitor<'de>>(self, _: V) -> Result<V::Value, CodecError> {
-        Err(CodecError(
-            "cannot skip values in a non-self-describing format".into(),
-        ))
-    }
-
-    fn is_human_readable(&self) -> bool {
-        false
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        Ok((A::decode(input)?, B::decode(input)?))
     }
 }
 
-struct CountedSeq<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-    remaining: usize,
+impl Wire for SimTime {
+    const MIN_WIDTH: usize = 8;
+    fn encode(&self, out: &mut BytesMut) {
+        self.as_nanos().encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        u64::decode(input).map(SimTime::from_nanos)
+    }
 }
 
-impl<'a, 'de> de::SeqAccess<'de> for CountedSeq<'a, 'de> {
-    type Error = CodecError;
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+impl Wire for Duration {
+    const MIN_WIDTH: usize = 8;
+    fn encode(&self, out: &mut BytesMut) {
+        self.as_nanos().encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        u64::decode(input).map(Duration::from_nanos)
+    }
+}
+
+/// Fieldless enums: the `u32` index of the variant in declaration
+/// order. List every variant, in declaration order.
+macro_rules! wire_enum {
+    ($t:ident { $($v:ident),* $(,)? }) => {
+        impl Wire for $t {
+            const MIN_WIDTH: usize = 4;
+            fn encode(&self, out: &mut BytesMut) {
+                (*self as u32).encode(out);
+            }
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                const VARIANTS: &[$t] = &[$($t::$v),*];
+                let i = u32::decode(input)?;
+                VARIANTS.get(i as usize).copied().ok_or_else(|| {
+                    CodecError(format!("invalid {} variant {i}", stringify!($t)))
+                })
+            }
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
+    };
 }
 
-struct CountedMap<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-    remaining: usize,
-}
+wire_enum!(VelocitySource {
+    Navigation,
+    Joystick,
+    SafetyController,
+});
+wire_enum!(NodeKind {
+    Localization,
+    Slam,
+    CostmapGen,
+    PathPlanning,
+    Exploration,
+    PathTracking,
+    VelocityMux,
+});
 
-impl<'a, 'de> de::MapAccess<'de> for CountedMap<'a, 'de> {
-    type Error = CodecError;
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        if self.remaining == 0 {
-            return Ok(None);
+/// Structs: every field, in declaration order, with its type.
+macro_rules! wire_struct {
+    ($t:ident { $($f:ident: $ft:ty),* $(,)? }) => {
+        impl Wire for $t {
+            const MIN_WIDTH: usize = 0 $(+ <$ft as Wire>::MIN_WIDTH)*;
+            fn encode(&self, out: &mut BytesMut) {
+                $(self.$f.encode(out);)*
+            }
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                Ok($t { $($f: <$ft as Wire>::decode(input)?),* })
+            }
         }
-        self.remaining -= 1;
-        seed.deserialize(&mut *self.de).map(Some)
-    }
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: V,
-    ) -> Result<V::Value, CodecError> {
-        seed.deserialize(&mut *self.de)
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
+    };
 }
 
-struct EnumAccess<'a, 'de> {
-    de: &'a mut BinDeserializer<'de>,
-}
-
-impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    type Variant = Self;
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, Self), CodecError> {
-        self.de.need(4)?;
-        let idx = self.de.input.get_u32_le();
-        let v = seed.deserialize(idx.into_deserializer())?;
-        Ok((v, self))
-    }
-}
-
-impl<'a, 'de> de::VariantAccess<'de> for EnumAccess<'a, 'de> {
-    type Error = CodecError;
-    fn unit_variant(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-        self,
-        seed: T,
-    ) -> Result<T::Value, CodecError> {
-        seed.deserialize(self.de)
-    }
-    fn tuple_variant<V: Visitor<'de>>(
-        self,
-        len: usize,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, len, visitor)
-    }
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        de::Deserializer::deserialize_tuple(self.de, fields.len(), visitor)
-    }
-}
+wire_struct!(Twist {
+    linear: f64,
+    angular: f64,
+});
+wire_struct!(LaserScan {
+    stamp: SimTime,
+    angle_min: f64,
+    angle_increment: f64,
+    range_max: f64,
+    ranges: Vec<f64>,
+});
+wire_struct!(VelocityCmd {
+    stamp: SimTime,
+    twist: Twist,
+    source: VelocitySource,
+});
+wire_struct!(Envelope {
+    topic: String,
+    seq: u64,
+    sent_at: SimTime,
+    echo_stamp: Option<SimTime>,
+    proc_times: Vec<(NodeKind, Duration)>,
+    msg: u64,
+    vehicle: u64,
+    payload: Vec<u8>,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lgv_types::prelude::*;
-    use serde::Deserialize;
-    use std::collections::BTreeMap;
 
-    fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(v: &T) {
+    fn roundtrip<T: Wire + PartialEq + fmt::Debug>(v: &T) {
         let b = to_bytes(v).expect("serialize");
         let back: T = from_bytes(&b).expect("deserialize");
         assert_eq!(&back, v);
@@ -590,70 +299,77 @@ mod tests {
 
     #[test]
     fn primitives_roundtrip() {
-        roundtrip(&true);
-        roundtrip(&-7i8);
-        roundtrip(&123456789i64);
+        roundtrip(&7u8);
+        roundtrip(&123_456_789u32);
+        roundtrip(&u64::MAX);
         roundtrip(&1.2345678f64);
-        roundtrip(&'λ');
         roundtrip(&"hello world".to_string());
-        roundtrip(&Some(42u32));
-        roundtrip(&Option::<u32>::None);
+        roundtrip(&Some(SimTime::from_nanos(42)));
+        roundtrip(&Option::<SimTime>::None);
+        roundtrip(&vec![0.5f64; 3]);
+        roundtrip(&Vec::<u8>::new());
+        roundtrip(&(NodeKind::Slam, Duration::from_millis(3)));
     }
 
     #[test]
-    fn collections_roundtrip() {
-        roundtrip(&vec![1u32, 2, 3]);
-        roundtrip(&Vec::<f64>::new());
-        let mut m = BTreeMap::new();
-        m.insert("a".to_string(), 1u8);
-        m.insert("b".to_string(), 2u8);
-        roundtrip(&m);
-        roundtrip(&(1u8, "two".to_string(), 3.0f32));
-    }
-
-    #[derive(Debug, PartialEq, serde::Serialize, Deserialize)]
-    enum TestEnum {
-        Unit,
-        Newtype(u32),
-        Tuple(u8, u8),
-        Struct { a: f64, b: String },
-    }
-
-    #[test]
-    fn enums_roundtrip() {
-        roundtrip(&TestEnum::Unit);
-        roundtrip(&TestEnum::Newtype(9));
-        roundtrip(&TestEnum::Tuple(1, 2));
-        roundtrip(&TestEnum::Struct {
-            a: 1.5,
-            b: "x".into(),
-        });
+    fn every_enum_variant_roundtrips() {
+        for k in NodeKind::ALL {
+            roundtrip(&k);
+        }
+        for s in [
+            VelocitySource::Navigation,
+            VelocitySource::Joystick,
+            VelocitySource::SafetyController,
+        ] {
+            roundtrip(&s);
+        }
     }
 
     #[test]
     fn message_types_roundtrip() {
-        roundtrip(&Pose2D::new(1.0, -2.0, 0.7));
         roundtrip(&Twist::new(0.22, -1.1));
-        let scan = LaserScan {
+        roundtrip(&LaserScan {
             stamp: SimTime::from_nanos(123456),
             angle_min: 0.0,
             angle_increment: 0.0175,
             range_max: 3.5,
             ranges: (0..360).map(|i| i as f64 * 0.01).collect(),
-        };
-        roundtrip(&scan);
-        let cmd = VelocityCmd {
+        });
+        roundtrip(&VelocityCmd {
             stamp: SimTime::from_nanos(99),
             twist: Twist::new(0.1, 0.2),
             source: VelocitySource::SafetyController,
-        };
-        roundtrip(&cmd);
-        let map = MapMsg {
+        });
+    }
+
+    #[test]
+    fn min_widths_match_the_smallest_encodings() {
+        assert_eq!(Twist::MIN_WIDTH, to_bytes(&Twist::STOP).unwrap().len());
+        let empty = LaserScan {
             stamp: SimTime::EPOCH,
-            dims: GridDims::new(4, 3, 0.5, Point2::new(-1.0, 2.0)),
-            cells: vec![-1, 0, 100, 0, -1, 0, 100, 0, -1, 0, 100, 0],
+            angle_min: 0.0,
+            angle_increment: 0.0,
+            range_max: 0.0,
+            ranges: vec![],
         };
-        roundtrip(&map);
+        assert_eq!(LaserScan::MIN_WIDTH, to_bytes(&empty).unwrap().len());
+        let cmd = VelocityCmd {
+            stamp: SimTime::EPOCH,
+            twist: Twist::STOP,
+            source: VelocitySource::Navigation,
+        };
+        assert_eq!(VelocityCmd::MIN_WIDTH, to_bytes(&cmd).unwrap().len());
+        let env = Envelope {
+            topic: String::new(),
+            seq: 0,
+            sent_at: SimTime::EPOCH,
+            echo_stamp: None,
+            proc_times: vec![],
+            msg: 0,
+            vehicle: 0,
+            payload: vec![],
+        };
+        assert_eq!(Envelope::MIN_WIDTH, to_bytes(&env).unwrap().len());
     }
 
     #[test]
@@ -688,8 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_bool_errors() {
-        let r: Result<bool, _> = from_bytes(&[7]);
+    fn corrupt_tags_error() {
+        let r: Result<Option<SimTime>, _> = from_bytes(&[7]);
+        assert!(r.is_err());
+        let r: Result<VelocitySource, _> = from_bytes(&3u32.to_le_bytes());
         assert!(r.is_err());
     }
 
@@ -701,6 +419,17 @@ mod tests {
         b.push(b'x');
         let r: Result<String, _> = from_bytes(&b);
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn length_prefix_is_checked_against_element_width() {
+        // 3 f64s claimed, 16 bytes present: enough for 16 `u8`s but
+        // not for 3 × 8 bytes.
+        let mut b = vec![];
+        b.extend_from_slice(&3u64.to_le_bytes());
+        b.extend_from_slice(&[0; 16]);
+        let r: Result<Vec<f64>, _> = from_bytes(&b);
+        assert!(r.unwrap_err().0.contains("exceeds remaining input"));
     }
 
     #[test]

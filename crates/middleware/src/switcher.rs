@@ -24,11 +24,10 @@ use lgv_net::measure::{BandwidthMeter, RttTracker};
 use lgv_net::DuplexLink;
 use lgv_trace::{MsgId, TraceEvent, Tracer};
 use lgv_types::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The wire envelope around every relayed message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
     /// Topic the payload belongs to.
     pub topic: String,

@@ -2,17 +2,17 @@
 //!
 //! These mirror the ROS message types used by the paper's stack
 //! (`sensor_msgs/LaserScan`, `nav_msgs/Odometry`, `geometry_msgs/Twist`,
-//! `nav_msgs/OccupancyGrid`, `nav_msgs/Path`). All are `serde`-
-//! serializable so the switcher can ship them across the simulated
-//! network, and all carry the producing timestamp for the profiler.
+//! `nav_msgs/OccupancyGrid`, `nav_msgs/Path`). All carry the producing
+//! timestamp for the profiler. The two that cross the simulated network,
+//! `LaserScan` and `VelocityCmd`, get their wire encoding from
+//! `lgv_middleware::codec`.
 
 use crate::geometry::{Point2, Pose2D, Twist};
 use crate::grid::GridDims;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A full 360° laser sweep (LDS-01-style).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaserScan {
     /// Production time.
     pub stamp: SimTime,
@@ -63,7 +63,7 @@ impl LaserScan {
 }
 
 /// Odometry estimate from wheel encoders.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdometryMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -74,7 +74,7 @@ pub struct OdometryMsg {
 }
 
 /// Pose estimate from a localization node (AMCL or SLAM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseEstimate {
     /// Production time.
     pub stamp: SimTime,
@@ -86,7 +86,7 @@ pub struct PoseEstimate {
 
 /// Origin of a velocity command, ordered by priority for the
 /// multiplexer (higher = more urgent, paper Fig. 2 node 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum VelocitySource {
     /// Autonomous navigation (lowest priority).
     Navigation,
@@ -97,7 +97,7 @@ pub enum VelocitySource {
 }
 
 /// A velocity command with provenance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityCmd {
     /// Production time.
     pub stamp: SimTime,
@@ -114,7 +114,7 @@ impl VelocityCmd {
 }
 
 /// Occupancy-grid map snapshot (SLAM output / static map).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MapMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -149,7 +149,7 @@ impl MapMsg {
 }
 
 /// A planned path through the world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathMsg {
     /// Production time.
     pub stamp: SimTime,
@@ -170,7 +170,7 @@ impl PathMsg {
 }
 
 /// A navigation goal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoalMsg {
     /// Production time.
     pub stamp: SimTime,

@@ -114,11 +114,6 @@ impl SimRng {
         // Floating point slack: fall back to the last positive weight.
         weights.iter().rposition(|&w| w > 0.0)
     }
-
-    /// Access the raw generator (for `rand` trait APIs).
-    pub fn raw(&mut self) -> &mut SmallRng {
-        &mut self.inner
-    }
 }
 
 /// Low-variance (systematic) resampling: draws `n` indices from the

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Documentation gate: rustdoc warnings denied, doctests, the trace
-# schema-drift check, and the shim-table drift check. Invoked by scripts/ci.sh stage 5 and runnable on
+# schema-drift check, the shim-table drift check and the default-members
+# drift check. Invoked by scripts/ci.sh stage 5 and runnable on
 # its own.
 #
 # The schema-drift check keeps docs/OBSERVABILITY.md honest: every
@@ -60,6 +61,23 @@ if ! diff <(echo "$dir_shims") <(echo "$doc_shims") >/dev/null; then
     exit 1
 fi
 echo "$(echo "$dir_shims" | wc -l) shims documented, no drift"
+
+echo "-- default-members drift (workspace members vs default-members)"
+# `members` globs `crates/shims/*` while `default-members` lists every
+# crate by hand. The tier-1 `cargo test -q` runs only default members,
+# so a crate missing from that list silently drops out of it.
+cargo metadata --no-deps --offline --format-version 1 | python3 -c '
+import json, sys
+m = json.load(sys.stdin)
+members = set(m["workspace_members"])
+defaults = set(m["workspace_default_members"])
+for pkg in sorted(members - defaults):
+    print("member missing from default-members:", pkg)
+for pkg in sorted(defaults - members):
+    print("default member not in members:", pkg)
+sys.exit(members != defaults)
+'
+echo "default-members lists every workspace member"
 
 echo "-- cross-linked docs exist"
 # The navigable doc set (README -> ARCHITECTURE -> subsystem docs);
