@@ -272,6 +272,58 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_keys_keep_the_last_value() {
+        let v = Value::parse(r#"{"k": 1, "other": 0, "k": 2}"#).expect("parses");
+        assert_eq!(v.get("k").and_then(Value::as_u64), Some(2));
+        // Source order is kept in the object itself.
+        match &v {
+            Value::Obj(fields) => assert_eq!(fields.len(), 3),
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn accessors_answer_none_for_other_shapes() {
+        let v = Value::parse(r#"[-1, 2.9, "s", true]"#).expect("parses");
+        let items = v.items();
+        assert_eq!(items[0].as_u64(), None);
+        assert_eq!(items[0].as_f64(), Some(-1.0));
+        assert_eq!(items[1].as_u64(), Some(2));
+        assert_eq!(items[2].as_f64(), None);
+        assert_eq!(items[3].as_str(), None);
+        assert!(items[2].items().is_empty());
+        assert_eq!(v.get("0"), None);
+    }
+
+    #[test]
+    fn parses_empty_and_nested_containers() {
+        let v = Value::parse(" \n{\"a\": {}, \"b\": [[], [[1]]]}\t\r\n").expect("parses");
+        assert_eq!(v.get("a"), Some(&Value::Obj(vec![])));
+        let b = v.get("b").unwrap().items();
+        assert!(b[0].items().is_empty());
+        assert_eq!(b[1].items()[0].items()[0].as_u64(), Some(1));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_and_lone_surrogates_are_replaced() {
+        let v = Value::parse(r#""\u0041\u00e9\ud800""#).expect("parses");
+        assert_eq!(v.as_str(), Some("Aé\u{fffd}"));
+        assert!(Value::parse(r#""\u00""#).is_err());
+        assert!(Value::parse(r#""\uzzzz""#).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_escapes_literals_and_numbers() {
+        assert!(Value::parse(r#""\q""#).is_err());
+        assert!(Value::parse(r#""open"#).is_err());
+        assert!(Value::parse("tru").is_err());
+        assert!(Value::parse("nul").is_err());
+        assert!(Value::parse("1.2.3").is_err());
+        assert!(Value::parse("--1").is_err());
+        assert_eq!(Value::parse("-2.5e3"), Ok(Value::Num(-2500.0)));
+    }
+
+    #[test]
     fn round_trips_a_real_suite_report() {
         use crate::suite::{fnv1a, JobResult, SuiteReport};
         let report = SuiteReport {

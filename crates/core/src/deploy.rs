@@ -130,6 +130,16 @@ mod tests {
     }
 
     #[test]
+    fn labels_are_unique_and_only_the_lgv_stays_on_board() {
+        let set = Deployment::evaluation_set();
+        for (i, d) in set.iter().enumerate() {
+            assert!(set[..i].iter().all(|o| o.label != d.label), "{}", d.label);
+            assert_eq!(d.offloaded(), i != 0, "{}", d.label);
+            assert!(d.threads >= 1);
+        }
+    }
+
+    #[test]
     fn platforms_resolve_by_site() {
         assert_eq!(
             Deployment::local().remote_platform().kind,

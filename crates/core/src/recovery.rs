@@ -137,6 +137,30 @@ mod tests {
     }
 
     #[test]
+    fn builders_change_only_their_own_field() {
+        let base = RecoveryConfig::default();
+        let ck = base.with_checkpoints(Duration::from_millis(500));
+        assert_eq!(ck.checkpoint_interval, Some(Duration::from_millis(500)));
+        assert_eq!(ck.degraded, None);
+        assert_eq!(
+            RecoveryConfig {
+                checkpoint_interval: None,
+                ..ck
+            },
+            base
+        );
+        let dg = base.with_degraded(DegradedConfig::default());
+        assert_eq!(dg.degraded, Some(DegradedConfig::default()));
+        assert_eq!(
+            RecoveryConfig {
+                degraded: None,
+                ..dg
+            },
+            base
+        );
+    }
+
+    #[test]
     fn resilient_enables_both_mechanisms() {
         let cfg = RecoveryConfig::resilient();
         assert_eq!(cfg.checkpoint_interval, Some(Duration::from_secs(2)));

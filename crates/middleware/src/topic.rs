@@ -93,6 +93,15 @@ mod tests {
     }
 
     #[test]
+    fn resolve_inverts_as_str_and_rejects_unknown_names() {
+        for t in TopicName::ALL {
+            assert_eq!(TopicName::resolve(t.as_str()), Some(t));
+        }
+        assert_eq!(TopicName::resolve("/nope"), None);
+        assert_eq!(TopicName::resolve("scan"), None);
+    }
+
+    #[test]
     fn display_is_path_like() {
         assert_eq!(TopicName::SCAN.to_string(), "/scan");
     }

@@ -7,6 +7,17 @@
 //! and the first node of the VDP (paper Table II / Fig. 4), so its
 //! cycle accounting matters: the per-update work is dominated by the
 //! full-grid inflation pass.
+//!
+//! Every refresh also rebuilds a 1-bit *blocked-cell mask*: one bit
+//! per cell, set where the master cost is at least
+//! [`COST_INSCRIBED`], packed row-major into `u64` words (each row
+//! starts on a word boundary). The refresh is the only writer of the
+//! master grid, so the mask never goes stale. DWA asks
+//! [`Costmap::footprint_collides`] at every rollout step; for a
+//! footprint box inside the grid that test visits only the box's set
+//! bits instead of every cell. The mask costs 1 bit per cell: a
+//! per-cell count table would answer "box empty" in O(1) but costs
+//! 32× the memory on every vehicle of a fleet.
 
 use lgv_types::prelude::*;
 
@@ -65,6 +76,10 @@ pub struct Costmap {
     marked_at: Vec<u32>,
     /// Combined + inflated master grid.
     master: Vec<u8>,
+    /// Blocked-cell mask: bit `col % 64` of word
+    /// `row * words_per_row + col / 64` is set iff
+    /// `master >= COST_INSCRIBED` there. Written only by `refresh`.
+    blocked: Vec<u64>,
     updates: u32,
 }
 
@@ -80,6 +95,7 @@ impl Costmap {
             static_lethal,
             marked_at: vec![0; dims.len()],
             master: vec![COST_UNKNOWN; dims.len()],
+            blocked: vec![0; blocked_words(&dims)],
             updates: 0,
         };
         let mut meter = WorkMeter::new();
@@ -89,6 +105,8 @@ impl Costmap {
 
     /// Build over an empty (all-unknown) static layer, for the
     /// exploration workload where SLAM supplies the map incrementally.
+    /// The blocked-cell mask starts clear: `COST_UNKNOWN` is below
+    /// `COST_INSCRIBED`.
     pub fn empty(cfg: CostmapConfig, dims: GridDims) -> Self {
         Costmap {
             cfg,
@@ -96,6 +114,7 @@ impl Costmap {
             static_lethal: vec![false; dims.len()],
             marked_at: vec![0; dims.len()],
             master: vec![COST_UNKNOWN; dims.len()],
+            blocked: vec![0; blocked_words(&dims)],
             updates: 0,
         }
     }
@@ -121,16 +140,40 @@ impl Costmap {
     }
 
     /// Is the disc of radius `r` centred at `p` in collision with a
-    /// lethal cell (used for trajectory feasibility)?
+    /// lethal cell (used for trajectory feasibility)? A cell collides
+    /// when its cost is at least [`COST_INSCRIBED`] and its centre lies
+    /// within `r` plus a cell's half-diagonal of `p`.
     pub fn footprint_collides(&self, p: Point2, r: f64) -> bool {
         let lo = self.dims.world_to_grid(Point2::new(p.x - r, p.y - r));
         let hi = self.dims.world_to_grid(Point2::new(p.x + r, p.y + r));
+        let reach = r + self.dims.resolution * 0.71;
+        let hits = |idx: GridIndex| self.dims.grid_to_world(idx).distance(p) <= reach;
+        if !(self.dims.contains(lo) && self.dims.contains(hi)) {
+            // The box crosses the grid edge, where every cell outside
+            // is lethal: test cell by cell.
+            for row in lo.row..=hi.row {
+                for col in lo.col..=hi.col {
+                    let idx = GridIndex::new(col, row);
+                    if self.cost(idx) >= COST_INSCRIBED && hits(idx) {
+                        return true;
+                    }
+                }
+            }
+            return false;
+        }
+        // Inside the grid only the box's set mask bits can collide.
+        let words_per_row = blocked_words_per_row(&self.dims);
+        let (c0, c1) = (lo.col as usize, hi.col as usize);
         for row in lo.row..=hi.row {
-            for col in lo.col..=hi.col {
-                let idx = GridIndex::new(col, row);
-                if self.cost(idx) >= COST_INSCRIBED {
-                    let c = self.dims.grid_to_world(idx);
-                    if c.distance(p) <= r + self.dims.resolution * 0.71 {
+            let words = &self.blocked[row as usize * words_per_row..][..words_per_row];
+            for (wi, &word) in words.iter().enumerate().take(c1 / 64 + 1).skip(c0 / 64) {
+                let first = if wi == c0 / 64 { c0 % 64 } else { 0 };
+                let last = if wi == c1 / 64 { c1 % 64 } else { 63 };
+                let mut bits = word & (u64::MAX << first) & (u64::MAX >> (63 - last));
+                while bits != 0 {
+                    let col = (wi * 64) as i32 + bits.trailing_zeros() as i32;
+                    bits &= bits - 1;
+                    if hits(GridIndex::new(col, row)) {
                         return true;
                     }
                 }
@@ -291,6 +334,20 @@ impl Costmap {
             }
         }
 
+        // Blocked-cell mask from the final master grid.
+        let words_per_row = blocked_words_per_row(&self.dims);
+        for (cells, words) in self
+            .master
+            .chunks_exact(w)
+            .zip(self.blocked.chunks_exact_mut(words_per_row))
+        {
+            for (chunk, word) in cells.chunks(64).zip(words.iter_mut()) {
+                *word = chunk.iter().enumerate().fold(0, |acc, (bit, &c)| {
+                    acc | u64::from(c >= COST_INSCRIBED) << bit
+                });
+            }
+        }
+
         // The refresh pass is data-parallel over cell stripes (the
         // paper's Fig. 5 parallelizes the costmap update together with
         // trajectory scoring); a serial residue covers the sweep
@@ -299,6 +356,16 @@ impl Costmap {
         meter.serial_ops(1, total * 0.1);
         meter.parallel_ops(1, total * 0.9, 512);
     }
+}
+
+/// Mask words per grid row: each row starts on a word boundary.
+fn blocked_words_per_row(dims: &GridDims) -> usize {
+    (dims.width as usize).div_ceil(64)
+}
+
+/// Mask words for the whole grid.
+fn blocked_words(dims: &GridDims) -> usize {
+    blocked_words_per_row(dims) * dims.height as usize
 }
 
 #[cfg(test)]
@@ -423,6 +490,155 @@ mod tests {
         assert!(cm.footprint_collides(Point2::new(2.1, 2.1), 0.11));
         assert!(cm.footprint_collides(Point2::new(2.35, 2.1), 0.11));
         assert!(!cm.footprint_collides(Point2::new(4.0, 4.0), 0.11));
+    }
+
+    /// Is the mask bit of `idx` set?
+    fn mask_bit(cm: &Costmap, idx: GridIndex) -> bool {
+        let wpr = blocked_words_per_row(&cm.dims);
+        let word = cm.blocked[idx.row as usize * wpr + idx.col as usize / 64];
+        word >> (idx.col % 64) & 1 == 1
+    }
+
+    /// Every mask bit agrees with the master grid, and the padding
+    /// bits past each row's last cell are clear.
+    fn assert_mask_matches_master(cm: &Costmap) {
+        let (w, h) = (cm.dims.width as i32, cm.dims.height as i32);
+        for row in 0..h {
+            for col in 0..w {
+                let idx = GridIndex::new(col, row);
+                assert_eq!(
+                    mask_bit(cm, idx),
+                    cm.cost(idx) >= COST_INSCRIBED,
+                    "mask bit at ({col}, {row})"
+                );
+            }
+        }
+        let wpr = blocked_words_per_row(&cm.dims);
+        let pad = wpr * 64 - w as usize;
+        if pad > 0 {
+            for row in 0..h as usize {
+                let last = cm.blocked[row * wpr + wpr - 1];
+                assert_eq!(last >> (64 - pad), 0, "padding bits of row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn mask_word_counts_round_each_row_up() {
+        let dims = |w| GridDims::new(w, 3, 0.05, Point2::ORIGIN);
+        assert_eq!(blocked_words_per_row(&dims(1)), 1);
+        assert_eq!(blocked_words_per_row(&dims(64)), 1);
+        assert_eq!(blocked_words_per_row(&dims(65)), 2);
+        assert_eq!(blocked_words_per_row(&dims(130)), 3);
+        assert_eq!(blocked_words(&dims(130)), 9);
+    }
+
+    #[test]
+    fn blocked_mask_matches_master_after_construction() {
+        // 130 wide: three words per row, the last one padded.
+        let mut m = empty_map(130, 40);
+        for (col, row) in [(0, 0), (63, 10), (64, 10), (127, 20), (129, 39)] {
+            m.cells[row * 130 + col] = MapMsg::OCCUPIED;
+        }
+        let cm = Costmap::from_map(CostmapConfig::default(), &m);
+        assert_mask_matches_master(&cm);
+        assert!(mask_bit(&cm, GridIndex::new(63, 10)));
+        assert!(mask_bit(&cm, GridIndex::new(64, 10)));
+        assert!(!mask_bit(&cm, GridIndex::new(100, 30)));
+    }
+
+    #[test]
+    fn empty_costmap_starts_with_a_clear_mask() {
+        let cm = Costmap::empty(
+            CostmapConfig::default(),
+            GridDims::new(70, 30, 0.05, Point2::ORIGIN),
+        );
+        assert!(cm.blocked.iter().all(|&w| w == 0));
+        assert_mask_matches_master(&cm);
+        // Unknown cells do not collide; only the grid edge does.
+        assert!(!cm.footprint_collides(Point2::new(1.75, 0.75), 0.2));
+        assert!(cm.footprint_collides(Point2::new(0.05, 0.75), 0.2));
+    }
+
+    #[test]
+    fn blocked_mask_follows_marks_and_clears() {
+        let m = empty_map(100, 100);
+        let mut cm = Costmap::from_map(CostmapConfig::default(), &m);
+        let pose = Pose2D::new(1.0, 2.5, 0.0);
+        let scan = |r: f64| LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: 2.0 * PI / 4.0,
+            range_max: 3.5,
+            ranges: vec![r, 3.5, 3.5, 3.5],
+        };
+        let hit = cm.dims().world_to_grid(Point2::new(2.0, 2.5));
+        let mut meter = WorkMeter::new();
+        cm.update(&m, pose, &scan(1.0), &mut meter);
+        assert!(mask_bit(&cm, hit));
+        assert_mask_matches_master(&cm);
+        cm.update(&m, pose, &scan(2.0), &mut meter);
+        assert!(!mask_bit(&cm, hit), "a cleared mark must clear its bit");
+        assert_mask_matches_master(&cm);
+    }
+
+    #[test]
+    fn set_static_map_reaches_the_mask_on_the_next_refresh() {
+        let dims = GridDims::new(80, 80, 0.05, Point2::ORIGIN);
+        let mut cm = Costmap::empty(CostmapConfig::default(), dims);
+        let known = map_with_block(80, 80);
+        cm.set_static_map(&known);
+        // The master grid (and so the mask) changes only on refresh.
+        assert!(!cm.footprint_collides(Point2::new(2.1, 2.1), 0.11));
+        let scan = LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: PI,
+            range_max: 3.5,
+            ranges: vec![3.5, 3.5],
+        };
+        cm.update(
+            &known,
+            Pose2D::new(0.5, 3.5, 0.0),
+            &scan,
+            &mut WorkMeter::new(),
+        );
+        assert_mask_matches_master(&cm);
+        assert!(cm.footprint_collides(Point2::new(2.1, 2.1), 0.11));
+    }
+
+    #[test]
+    fn footprint_sees_cells_on_both_sides_of_a_word_boundary() {
+        // A one-cell wall at column 63 or 64 (bit 63 of word 0, bit 0
+        // of word 1), with the inscribed zone shrunk to the wall.
+        let cfg = CostmapConfig {
+            inscribed_radius: 0.01,
+            ..CostmapConfig::default()
+        };
+        for wall in [63usize, 64] {
+            let mut m = empty_map(130, 40);
+            m.cells[20 * 130 + wall] = MapMsg::OCCUPIED;
+            let cm = Costmap::from_map(cfg.clone(), &m);
+            let centre = cm.dims().grid_to_world(GridIndex::new(wall as i32, 20));
+            assert!(cm.footprint_collides(centre, 0.05), "wall at {wall}");
+            let beside = Point2::new(centre.x + 0.5, centre.y);
+            assert!(!cm.footprint_collides(beside, 0.05), "wall at {wall}");
+        }
+    }
+
+    #[test]
+    fn footprint_collides_wherever_the_box_crosses_the_grid_edge() {
+        let cm = Costmap::from_map(CostmapConfig::default(), &empty_map(60, 40));
+        let (w, h) = (60.0 * 0.05, 40.0 * 0.05);
+        for p in [
+            Point2::new(0.02, 1.0),
+            Point2::new(w - 0.02, 1.0),
+            Point2::new(1.5, 0.02),
+            Point2::new(1.5, h - 0.02),
+        ] {
+            assert!(cm.footprint_collides(p, 0.1), "probe {p:?}");
+        }
+        assert!(!cm.footprint_collides(Point2::new(1.5, 1.0), 0.1));
     }
 
     #[test]

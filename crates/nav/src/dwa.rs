@@ -9,6 +9,17 @@
 //! duplicated scoring work" the paper parallelizes; we distribute the
 //! `M` trajectories over `N` threads with the same [`ParallelExecutor`]
 //! SLAM uses.
+//!
+//! The samples form an `nv × nw` grid, and a rollout's heading
+//! sequence `θₖ₊₁ = normalize_angle(θₖ + ω·dt)` depends on `ω` alone.
+//! So each activation first builds one heading table per `ω` column:
+//! the per-step `sin`/`cos` terms of [`Pose2D::integrate`]. Every
+//! candidate of the column then replays the table with its own `v`,
+//! in the operand order of `integrate`, so the rollout is bit-identical
+//! to integrating pose by pose. (Carrying the trig from step to step
+//! instead would not be: `normalize_angle` is not the identity on
+//! in-range angles.) Footprint checks go to the costmap's blocked-cell
+//! mask ([`Costmap::footprint_collides`]).
 
 use crate::costmap::Costmap;
 use lgv_slam::pool::ParallelExecutor;
@@ -104,6 +115,8 @@ pub struct DwaResult {
 struct Candidate {
     v: f64,
     w: f64,
+    /// Index of the `w` column, which selects the heading table.
+    col: usize,
     score: f64,
     feasible: bool,
     steps: u32,
@@ -193,14 +206,17 @@ impl DwaPlanner {
         // Sample grid: keep samples ≈ nv × nw with nw ≈ 3 nv.
         let nv = ((cfg.samples as f64 / 3.0).sqrt().round() as u32).max(2);
         let nw = (cfg.samples / nv).max(2);
+        let ws: Vec<f64> = (0..nw)
+            .map(|j| w_lo + (w_hi - w_lo) * j as f64 / (nw - 1) as f64)
+            .collect();
         let mut candidates: Vec<Candidate> = Vec::with_capacity((nv * nw) as usize);
         for i in 0..nv {
             let v = v_lo + (v_hi - v_lo) * i as f64 / (nv - 1) as f64;
-            for j in 0..nw {
-                let w = w_lo + (w_hi - w_lo) * j as f64 / (nw - 1) as f64;
+            for (col, &w) in ws.iter().enumerate() {
                 candidates.push(Candidate {
                     v,
                     w,
+                    col,
                     score: f64::NEG_INFINITY,
                     feasible: false,
                     steps: 0,
@@ -212,12 +228,19 @@ impl DwaPlanner {
         // of the robot's projection (falls back to the final goal).
         let target = carrot_point(path, pose.position(), cfg.lookahead, goal);
 
+        // One heading table per w column, shared by its nv candidates.
+        let steps = (cfg.sim_horizon / cfg.sim_dt).round() as usize;
+        let mut headings = Vec::with_capacity(ws.len() * steps);
+        for &w in &ws {
+            push_heading_terms(&mut headings, pose.theta, w, cfg.sim_dt, steps);
+        }
+
         // Parallel scoring (paper Fig. 5): each thread takes a chunk.
-        let steps = (cfg.sim_horizon / cfg.sim_dt).round() as u32;
         let cfg_ref = &self.cfg;
         self.executor.run_chunks(&mut candidates, |chunk| {
             for c in chunk.iter_mut() {
-                *c = score_trajectory(cfg_ref, cm, pose, path, target, c.v, c.w, steps);
+                let column = &headings[c.col * steps..][..steps];
+                score_trajectory(cfg_ref, cm, pose, path, target, column, c);
             }
         });
 
@@ -254,54 +277,73 @@ impl DwaPlanner {
     }
 }
 
-/// Forward-simulate one `(v, w)` candidate and score it.
-#[allow(clippy::too_many_arguments)]
+/// Append the `steps` heading terms of a rollout at angular velocity
+/// `w` from heading `theta`: the trig of each [`Pose2D::integrate`]
+/// step. On an arc (`|w| ≥ 1e-9`) a step's terms are
+/// `(sin θₖ₊₁ − sin θₖ, cos θₖ₊₁ − cos θₖ)`; on a straight line they
+/// are `(cos θₖ, sin θₖ)`. The heading is re-normalized after every
+/// step, exactly as `Pose2D::new` does inside `integrate`.
+fn push_heading_terms(out: &mut Vec<[f64; 2]>, theta: f64, w: f64, dt: f64, steps: usize) {
+    let mut th = theta;
+    for _ in 0..steps {
+        if w.abs() < 1e-9 {
+            out.push([th.cos(), th.sin()]);
+            th = normalize_angle(th);
+        } else {
+            let th1 = th + w * dt;
+            out.push([th1.sin() - th.sin(), th1.cos() - th.cos()]);
+            th = normalize_angle(th1);
+        }
+    }
+}
+
+/// Forward-simulate candidate `c` along its column's heading terms and
+/// score it.
 fn score_trajectory(
     cfg: &DwaConfig,
     cm: &Costmap,
     pose: Pose2D,
     path: &PathMsg,
     goal: Point2,
-    v: f64,
-    w: f64,
-    steps: u32,
-) -> Candidate {
-    let mut p = pose;
+    headings: &[[f64; 2]],
+    c: &mut Candidate,
+) {
+    // `integrate` scales the terms by v·dt on a line, by r = v/w on an arc.
+    let straight = c.w.abs() < 1e-9;
+    let k = if straight {
+        c.v * cfg.sim_dt
+    } else {
+        c.v / c.w
+    };
+    let mut p = pose.position();
     let mut min_clearance = f64::INFINITY;
-    let mut executed = 0u32;
-    for _ in 0..steps {
-        p = p.integrate(Twist::new(v, w), cfg.sim_dt);
-        executed += 1;
-        if cm.footprint_collides(p.position(), cfg.footprint_radius) {
-            return Candidate {
-                v,
-                w,
-                score: f64::NEG_INFINITY,
-                feasible: false,
-                steps: executed,
-            };
+    c.steps = 0;
+    for &[a, b] in headings {
+        p = if straight {
+            Point2::new(p.x + k * a, p.y + k * b)
+        } else {
+            Point2::new(p.x + k * a, p.y - k * b)
+        };
+        c.steps += 1;
+        if cm.footprint_collides(p, cfg.footprint_radius) {
+            c.score = f64::NEG_INFINITY;
+            c.feasible = false;
+            return;
         }
-        let c = cm.cost(cm.dims().world_to_grid(p.position()));
-        min_clearance = min_clearance.min(1.0 - c.min(253) as f64 / 253.0);
+        let cost = cm.cost(cm.dims().world_to_grid(p));
+        min_clearance = min_clearance.min(1.0 - cost.min(253) as f64 / 253.0);
     }
 
-    let end = p.position();
-    let path_dist = nearest_path_distance(path, end);
-    let goal_dist = end.distance(goal);
+    let path_dist = nearest_path_distance(path, p);
+    let goal_dist = p.distance(goal);
     let start_goal_dist = pose.position().distance(goal);
     let progress = start_goal_dist - goal_dist;
 
-    let score = -cfg.w_path * path_dist
+    c.score = -cfg.w_path * path_dist
         + cfg.w_goal * progress
         + cfg.w_clear * min_clearance.clamp(0.0, 1.0)
-        + cfg.w_speed * (v / cfg.max_linear.max(1e-9));
-    Candidate {
-        v,
-        w,
-        score,
-        feasible: true,
-        steps: executed,
-    }
+        + cfg.w_speed * (c.v / cfg.max_linear.max(1e-9));
+    c.feasible = true;
 }
 
 /// A "carrot" target: project `p` onto the path, then walk
@@ -378,6 +420,7 @@ fn point_segment_distance(p: Point2, a: Point2, b: Point2) -> f64 {
 mod tests {
     use super::*;
     use crate::costmap::CostmapConfig;
+    use std::f64::consts::PI;
 
     fn open_map(w: u32, h: u32) -> MapMsg {
         MapMsg {
@@ -572,6 +615,143 @@ mod tests {
         let r = dwa.compute(&cm, pose, &straight_path(2.0), Point2::new(5.0, 2.0));
         let g = r.work.total_cycles() / 1e9;
         assert!((0.15..0.45).contains(&g), "per-activation Gcycles {g}");
+    }
+
+    /// Replay a heading table the way `score_trajectory` does.
+    fn replay(start: Pose2D, v: f64, w: f64, dt: f64, steps: usize) -> Vec<Point2> {
+        let mut table = Vec::new();
+        push_heading_terms(&mut table, start.theta, w, dt, steps);
+        let k = if w.abs() < 1e-9 { v * dt } else { v / w };
+        let mut p = start.position();
+        table
+            .iter()
+            .map(|&[a, b]| {
+                p = if w.abs() < 1e-9 {
+                    Point2::new(p.x + k * a, p.y + k * b)
+                } else {
+                    Point2::new(p.x + k * a, p.y - k * b)
+                };
+                p
+            })
+            .collect()
+    }
+
+    /// The positions `Pose2D::integrate` visits, step by step.
+    fn integrated(start: Pose2D, v: f64, w: f64, dt: f64, steps: usize) -> Vec<Point2> {
+        let mut p = start;
+        (0..steps)
+            .map(|_| {
+                p = p.integrate(Twist::new(v, w), dt);
+                p.position()
+            })
+            .collect()
+    }
+
+    fn bits(ps: &[Point2]) -> Vec<(u64, u64)> {
+        ps.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    }
+
+    #[test]
+    fn heading_terms_has_one_entry_per_step() {
+        let mut table = Vec::new();
+        push_heading_terms(&mut table, 0.3, 1.2, 0.1, 15);
+        push_heading_terms(&mut table, 0.3, 0.0, 0.1, 15);
+        assert_eq!(table.len(), 30);
+    }
+
+    #[test]
+    fn straight_heading_terms_are_the_start_heading() {
+        let mut table = Vec::new();
+        push_heading_terms(&mut table, 0.7, 0.0, 0.1, 5);
+        // The heading never turns; it is only re-normalized per step.
+        let mut th = 0.7f64;
+        for &[a, b] in &table {
+            assert_eq!(a.to_bits(), th.cos().to_bits());
+            assert_eq!(b.to_bits(), th.sin().to_bits());
+            assert!((a - 0.7f64.cos()).abs() < 1e-12);
+            th = normalize_angle(th);
+        }
+    }
+
+    #[test]
+    fn heading_table_replays_integrate_bit_for_bit_on_an_arc() {
+        let start = Pose2D::new(1.3, -0.4, 0.9);
+        for w in [-2.5, -0.31, 1e-6, 0.8, 2.5] {
+            for v in [0.0, 0.05, 0.22] {
+                assert_eq!(
+                    bits(&replay(start, v, w, 0.1, 15)),
+                    bits(&integrated(start, v, w, 0.1, 15)),
+                    "v {v} w {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn heading_table_replays_integrate_bit_for_bit_on_a_line() {
+        for theta in [0.0, 1.1, -2.9, PI] {
+            let start = Pose2D::new(0.5, 0.5, theta);
+            assert_eq!(
+                bits(&replay(start, 0.2, 0.0, 0.1, 15)),
+                bits(&integrated(start, 0.2, 0.0, 0.1, 15)),
+                "theta {theta}"
+            );
+        }
+    }
+
+    #[test]
+    fn heading_table_replays_integrate_across_the_pi_wrap() {
+        // Rollouts that cross ±π in either direction exercise the
+        // per-step re-normalization.
+        for (theta, w) in [(PI - 0.02, 1.5), (-PI + 0.02, -1.5), (PI - 1e-3, 0.0)] {
+            let start = Pose2D::new(2.0, 2.0, theta);
+            assert_eq!(
+                bits(&replay(start, 0.18, w, 0.1, 30)),
+                bits(&integrated(start, 0.18, w, 0.1, 30)),
+                "theta {theta} w {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn carrot_walks_lookahead_along_the_path() {
+        let path = straight_path(2.0);
+        let c = carrot_point(&path, Point2::new(2.0, 2.5), 1.0, Point2::ORIGIN);
+        assert!(
+            (c.x - 3.0).abs() < 1e-9 && (c.y - 2.0).abs() < 1e-9,
+            "{c:?}"
+        );
+        // Past the end the carrot stops at the last waypoint.
+        let end = carrot_point(&path, Point2::new(4.8, 2.0), 1.0, Point2::ORIGIN);
+        assert_eq!(end, Point2::new(5.0, 2.0));
+        // A degenerate path falls back.
+        let single = PathMsg {
+            stamp: SimTime::EPOCH,
+            waypoints: vec![Point2::new(1.0, 1.0)],
+        };
+        let fb = Point2::new(7.0, 7.0);
+        assert_eq!(carrot_point(&single, Point2::ORIGIN, 1.0, fb), fb);
+    }
+
+    #[test]
+    fn point_segment_distance_clamps_to_the_endpoints() {
+        let (a, b) = (Point2::new(0.0, 0.0), Point2::new(2.0, 0.0));
+        assert!((point_segment_distance(Point2::new(1.0, 1.0), a, b) - 1.0).abs() < 1e-12);
+        assert!((point_segment_distance(Point2::new(-3.0, 4.0), a, b) - 5.0).abs() < 1e-12);
+        assert!((point_segment_distance(Point2::new(5.0, 4.0), a, b) - 5.0).abs() < 1e-12);
+        // A zero-length segment is its point.
+        assert!((point_segment_distance(Point2::new(3.0, 4.0), a, a) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sample_setters_clamp_their_inputs() {
+        let mut dwa = DwaPlanner::new(DwaConfig::default());
+        dwa.set_samples(3);
+        assert_eq!(dwa.config().samples, 12);
+        dwa.set_threads(0);
+        assert_eq!(dwa.config().threads, 1);
+        dwa.set_max_angular(0.0);
+        assert_eq!(dwa.config().max_angular, 0.1);
     }
 
     #[test]

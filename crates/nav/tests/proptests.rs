@@ -188,3 +188,342 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Equivalence of the DWA rollout kernel with its straightforward form.
+//
+// The planner shares each ω column's heading sequence across the
+// column's linear velocities and answers footprint checks from the
+// costmap's blocked-cell mask. Both are exact rewrites: the references
+// below are the per-cell footprint loop and the `Pose2D::integrate`
+// rollout they replaced, and the planner must agree with them bit for
+// bit.
+// ---------------------------------------------------------------------
+
+/// A map of `w × h` cells at 5 cm with random rectangular obstacles,
+/// single occupied cells at `speckle_pct`, and an `unknown_pct` share of
+/// unknown cells.
+fn random_map(
+    seed: u64,
+    (w, h): (u32, u32),
+    blocks: usize,
+    speckle_pct: usize,
+    unknown_pct: usize,
+) -> MapMsg {
+    let dims = GridDims::new(w, h, 0.05, Point2::ORIGIN);
+    let (wu, hu) = (w as usize, h as usize);
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut cells: Vec<i8> = (0..dims.len())
+        .map(|_| {
+            if rng.index(100) < speckle_pct {
+                MapMsg::OCCUPIED
+            } else if rng.index(100) < unknown_pct {
+                MapMsg::UNKNOWN
+            } else {
+                MapMsg::FREE
+            }
+        })
+        .collect();
+    for _ in 0..blocks {
+        let cx = rng.index(wu);
+        let cy = rng.index(hu);
+        let bw = rng.index(8) + 1;
+        let bh = rng.index(8) + 1;
+        for row in cy..(cy + bh).min(hu) {
+            for col in cx..(cx + bw).min(wu) {
+                cells[row * wu + col] = MapMsg::OCCUPIED;
+            }
+        }
+    }
+    MapMsg {
+        stamp: SimTime::EPOCH,
+        dims,
+        cells,
+    }
+}
+
+/// A 36-beam scan with ranges drawn from `seed` (some beyond range).
+fn random_scan(seed: u64) -> LaserScan {
+    let mut rng = SimRng::seed_from_u64(seed);
+    LaserScan {
+        stamp: SimTime::EPOCH,
+        angle_min: 0.0,
+        angle_increment: std::f64::consts::TAU / 36.0,
+        range_max: 3.5,
+        ranges: (0..36).map(|_| rng.uniform_range(0.1, 4.0)).collect(),
+    }
+}
+
+/// The per-cell footprint test: every cell of the disc's bounding box,
+/// out-of-bounds cells lethal.
+fn reference_footprint_collides(cm: &Costmap, p: Point2, r: f64) -> bool {
+    let dims = cm.dims();
+    let lo = dims.world_to_grid(Point2::new(p.x - r, p.y - r));
+    let hi = dims.world_to_grid(Point2::new(p.x + r, p.y + r));
+    for row in lo.row..=hi.row {
+        for col in lo.col..=hi.col {
+            let idx = GridIndex::new(col, row);
+            if cm.cost(idx) >= COST_INSCRIBED {
+                let c = dims.grid_to_world(idx);
+                if c.distance(p) <= r + dims.resolution * 0.71 {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
+/// A point whose footprint box lies inside the grid (`edge == 0`),
+/// straddles one of its four edges (`edge` 1–4: left, right, bottom,
+/// top), or straddles the first 64-cell mask-word boundary (`edge` 5,
+/// when the grid is wider than 64 cells). `u`, `t` ∈ [0, 1) place it
+/// along and across the line.
+fn probe_point(dims: &GridDims, edge: usize, u: f64, t: f64) -> Point2 {
+    let (wx, wy) = dims.world_size();
+    let across = -0.35 + 0.7 * t;
+    match edge {
+        1 => Point2::new(across, u * wy),
+        2 => Point2::new(wx + across, u * wy),
+        3 => Point2::new(u * wx, across),
+        4 => Point2::new(u * wx, wy + across),
+        5 if dims.width > 64 => Point2::new(64.0 * dims.resolution + across, u * wy),
+        _ => Point2::new(u * wx, t * wy),
+    }
+}
+
+/// The DWA planner as it was written before the rollout kernel shared
+/// heading tables: serial scoring, one `Pose2D::integrate` per step and
+/// the per-cell footprint test.
+fn reference_compute(
+    cfg: &DwaConfig,
+    last: Twist,
+    cm: &Costmap,
+    pose: Pose2D,
+    path: &PathMsg,
+    goal: Point2,
+) -> lgv_nav::dwa::DwaResult {
+    let dt_cycle = 0.2;
+    let v_lo = (last.linear - cfg.max_lin_accel * dt_cycle).max(0.0);
+    let v_hi = (last.linear + cfg.max_lin_accel * dt_cycle).min(cfg.max_linear);
+    let w_lo = (last.angular - cfg.max_ang_accel * dt_cycle).max(-cfg.max_angular);
+    let w_hi = (last.angular + cfg.max_ang_accel * dt_cycle).min(cfg.max_angular);
+    let nv = ((cfg.samples as f64 / 3.0).sqrt().round() as u32).max(2);
+    let nw = (cfg.samples / nv).max(2);
+    let target = reference_carrot(path, pose.position(), cfg.lookahead, goal);
+    let steps = (cfg.sim_horizon / cfg.sim_dt).round() as u32;
+
+    let mut best: Option<(f64, f64, f64)> = None;
+    let (mut evaluated, mut discarded, mut total_steps) = (0u32, 0u32, 0u64);
+    for i in 0..nv {
+        let v = v_lo + (v_hi - v_lo) * i as f64 / (nv - 1) as f64;
+        for j in 0..nw {
+            let w = w_lo + (w_hi - w_lo) * j as f64 / (nw - 1) as f64;
+            evaluated += 1;
+            let mut p = pose;
+            let mut min_clearance = f64::INFINITY;
+            let mut feasible = true;
+            for _ in 0..steps {
+                p = p.integrate(Twist::new(v, w), cfg.sim_dt);
+                total_steps += 1;
+                if reference_footprint_collides(cm, p.position(), cfg.footprint_radius) {
+                    feasible = false;
+                    break;
+                }
+                let c = cm.cost(cm.dims().world_to_grid(p.position()));
+                min_clearance = min_clearance.min(1.0 - c.min(253) as f64 / 253.0);
+            }
+            if !feasible {
+                discarded += 1;
+                continue;
+            }
+            let end = p.position();
+            let progress = pose.position().distance(target) - end.distance(target);
+            let score = -cfg.w_path * reference_path_distance(path, end)
+                + cfg.w_goal * progress
+                + cfg.w_clear * min_clearance.clamp(0.0, 1.0)
+                + cfg.w_speed * (v / cfg.max_linear.max(1e-9));
+            // `max_by(total_cmp)` keeps the last of equal maxima.
+            if best.is_none_or(|b| score.total_cmp(&b.2).is_ge()) {
+                best = Some((v, w, score));
+            }
+        }
+    }
+    let twist = match best {
+        Some((v, w, _)) => Twist::new(v, w),
+        None => Twist::new(0.0, cfg.max_angular * 0.3),
+    };
+    lgv_nav::dwa::DwaResult {
+        twist,
+        score: best.map_or(f64::NEG_INFINITY, |b| b.2),
+        evaluated,
+        discarded,
+        work: Work::with_parallel(
+            lgv_nav::dwa::cost::CYCLES_SERIAL_BASE,
+            total_steps as f64 * lgv_nav::dwa::cost::CYCLES_PER_TRAJ_STEP,
+            evaluated,
+        ),
+    }
+}
+
+fn reference_carrot(path: &PathMsg, p: Point2, lookahead: f64, fallback: Point2) -> Point2 {
+    let wps = &path.waypoints;
+    if wps.len() < 2 {
+        return fallback;
+    }
+    let mut best = (0usize, wps[0], f64::INFINITY);
+    for i in 0..wps.len() - 1 {
+        let (a, b) = (wps[i], wps[i + 1]);
+        let ab = b - a;
+        let denom = ab.norm_sq();
+        let t = if denom < 1e-12 {
+            0.0
+        } else {
+            ((p - a).dot(ab) / denom).clamp(0.0, 1.0)
+        };
+        let q = a.lerp(b, t);
+        let d = p.distance(q);
+        if d < best.2 {
+            best = (i, q, d);
+        }
+    }
+    let (mut i, mut cur, _) = best;
+    let mut remaining = lookahead;
+    loop {
+        let seg_end = wps[i + 1];
+        let d = cur.distance(seg_end);
+        if remaining <= d || d < 1e-12 {
+            if d < 1e-12 {
+                return seg_end;
+            }
+            return cur.lerp(seg_end, remaining / d);
+        }
+        remaining -= d;
+        cur = seg_end;
+        i += 1;
+        if i + 1 >= wps.len() {
+            return *wps.last().unwrap();
+        }
+    }
+}
+
+fn reference_path_distance(path: &PathMsg, p: Point2) -> f64 {
+    let wps = &path.waypoints;
+    if wps.is_empty() {
+        return 0.0;
+    }
+    if wps.len() == 1 {
+        return p.distance(wps[0]);
+    }
+    wps.windows(2)
+        .map(|seg| {
+            let (a, b) = (seg[0], seg[1]);
+            let ab = b - a;
+            let denom = ab.norm_sq();
+            if denom < 1e-12 {
+                return p.distance(a);
+            }
+            let t = ((p - a).dot(ab) / denom).clamp(0.0, 1.0);
+            p.distance(a.lerp(b, t))
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn footprint_collides_matches_per_cell_reference(
+        seed in 0u64..10_000,
+        (wi, from_map, thin) in (0usize..4, any::<bool>(), any::<bool>()),
+        (blocks, speckle_pct, unknown_pct) in (0usize..40, 0usize..8, 0usize..40),
+        ops in proptest::collection::vec((0usize..3, 0.0f64..1.0, 0.0f64..1.0, 0u64..1000), 0..5),
+        probes in proptest::collection::vec((0usize..6, 0.0f64..1.0, 0.0f64..1.0, 0.05f64..0.3), 300..400),
+    ) {
+        // Widths below, at and past a 64-cell word, and two words plus.
+        let size = [(40, 50), (64, 64), (120, 90), (130, 70)][wi];
+        let map = random_map(seed, size, blocks, speckle_pct, unknown_pct);
+        // A sub-cell inscribed radius blocks lethal cells only, so
+        // single blocked cells sit next to free ones.
+        let cfg = CostmapConfig {
+            inscribed_radius: if thin { 0.01 } else { 0.11 },
+            ..Default::default()
+        };
+        let mut cm = if from_map {
+            Costmap::from_map(cfg, &map)
+        } else {
+            Costmap::empty(cfg, map.dims)
+        };
+        let mut known = map.clone();
+        let (wx, wy) = map.dims.world_size();
+        let mut meter = WorkMeter::new();
+        for &(kind, u, t, s) in &ops {
+            if kind == 0 {
+                known = random_map(seed ^ s, size, blocks, speckle_pct, unknown_pct);
+                cm.set_static_map(&known);
+            } else {
+                let pose = Pose2D::new(u * wx, t * wy, s as f64 * 0.01);
+                cm.update(&known, pose, &random_scan(s), &mut meter);
+            }
+        }
+        for &(edge, u, t, r) in &probes {
+            let p = probe_point(cm.dims(), edge, u, t);
+            prop_assert_eq!(
+                cm.footprint_collides(p, r),
+                reference_footprint_collides(&cm, p, r),
+                "footprint at {:?} radius {}", p, r
+            );
+        }
+    }
+
+    #[test]
+    fn dwa_compute_matches_reference_rollout(
+        seed in 0u64..10_000,
+        blocks in 0usize..30,
+        (px, py) in (0.05f64..5.95, 0.05f64..5.95),
+        (heading, th, near_pi) in (0usize..4, -3.2f64..3.2, -0.05f64..0.05),
+        si in 0usize..3,
+        threads in 1usize..3,
+        calls in 1usize..4,
+    ) {
+        let map = random_map(seed, (120, 120), blocks, 0, 0);
+        let mut cm = Costmap::from_map(CostmapConfig::default(), &map);
+        let mut meter = WorkMeter::new();
+        // Headings near ±π make the rollout cross the angle wrap; a
+        // heading at the first path corner favours the straight column.
+        let via = Point2::new(3.0, 1.0);
+        let th = match heading {
+            0 => std::f64::consts::PI + near_pi,
+            1 => -std::f64::consts::PI + near_pi,
+            2 => (via.y - py).atan2(via.x - px),
+            _ => th,
+        };
+        let mut pose = Pose2D::new(px, py, th);
+        cm.update(&map, pose, &random_scan(seed), &mut meter);
+        let samples = [12, 600, 1000][si];
+        let threads = [1, 4][threads - 1];
+        let mut dwa = DwaPlanner::new(DwaConfig { samples, threads, ..Default::default() });
+        let goal = Point2::new(5.5, 5.5);
+        let path = PathMsg {
+            stamp: SimTime::EPOCH,
+            waypoints: vec![pose.position(), via, goal],
+        };
+        // The first call opens the window around a stopped robot, so
+        // one ω column is the straight-line (ω ≈ 0) branch.
+        let mut last = Twist::STOP;
+        for call in 0..calls {
+            let got = dwa.compute(&cm, pose, &path, goal);
+            let want = reference_compute(dwa.config(), last, &cm, pose, &path, goal);
+            prop_assert_eq!(got.twist.linear.to_bits(), want.twist.linear.to_bits(), "call {}", call);
+            prop_assert_eq!(got.twist.angular.to_bits(), want.twist.angular.to_bits(), "call {}", call);
+            prop_assert_eq!(got.score.to_bits(), want.score.to_bits(), "call {}", call);
+            prop_assert_eq!(got.evaluated, want.evaluated);
+            prop_assert_eq!(got.discarded, want.discarded);
+            prop_assert_eq!(got.work.serial_cycles.to_bits(), want.work.serial_cycles.to_bits());
+            prop_assert_eq!(got.work.parallel_cycles.to_bits(), want.work.parallel_cycles.to_bits());
+            prop_assert_eq!(got.work.parallel_items, want.work.parallel_items);
+            last = want.twist;
+            pose = pose.integrate(last, 0.2);
+        }
+    }
+}

@@ -237,6 +237,46 @@ mod tests {
     }
 
     #[test]
+    fn nominal_latency_grows_with_payload() {
+        let gw = link(RemoteSite::EdgeGateway);
+        assert!(gw.nominal_latency(1500) > gw.nominal_latency(48));
+        let cl = link(RemoteSite::CloudServer);
+        assert_eq!(
+            cl.nominal_latency(48),
+            gw.nominal_latency(48) + RemoteSite::CloudServer.wan_latency()
+        );
+    }
+
+    #[test]
+    fn wan_override_replaces_the_site_default() {
+        let mut rng = SimRng::seed_from_u64(3);
+        let mut cfg = LinkConfig::new(RemoteSite::EdgeGateway, Point2::new(0.0, 0.0));
+        cfg.wireless = WirelessConfig {
+            jitter: Duration::ZERO,
+            ..WirelessConfig::default()
+        }
+        .with_weak_radius(20.0);
+        cfg.wan_latency = Some(Duration::from_millis(40));
+        let mut l = DuplexLink::new(cfg, &mut rng);
+        let robot = Point2::new(2.0, 0.0);
+        l.send_up(SimTime::EPOCH, robot, Bytes::from_static(b"x"));
+        l.tick(SimTime::EPOCH + Duration::from_millis(20), robot);
+        assert!(l.recv_at_server().is_none(), "arrived before the WAN hop");
+        l.tick(SimTime::EPOCH + Duration::from_millis(100), robot);
+        let got = l.recv_at_server().expect("delivered after the WAN hop");
+        assert!(got.latency() >= Duration::from_millis(40));
+    }
+
+    #[test]
+    fn radio_weakness_follows_distance_from_the_wap() {
+        let l = link(RemoteSite::CloudServer);
+        assert!(!l.radio_weak(Point2::new(2.0, 0.0), SimTime::EPOCH));
+        assert!(l.radio_weak(Point2::new(40.0, 0.0), SimTime::EPOCH));
+        assert_eq!(l.site(), RemoteSite::CloudServer);
+        assert_eq!(l.uplink_bps(), WirelessConfig::default().bandwidth_bps);
+    }
+
+    #[test]
     fn directions_use_independent_loss_streams() {
         let mut l = link(RemoteSite::EdgeGateway);
         let robot = Point2::new(2.0, 0.0);

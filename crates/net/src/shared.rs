@@ -231,6 +231,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_window_falls_back_to_one_control_period() {
+        let m = SharedMedium::new(Duration::ZERO);
+        m.contend(1, at(0), AIR);
+        m.contend(2, at(150), AIR); // same 200 ms window as t = 0
+        assert_eq!(m.contend(1, at(210), AIR), AIR);
+        assert_eq!(m.stats().peak_senders, 2);
+    }
+
+    #[test]
+    fn a_sender_counts_once_per_window_however_often_it_sends() {
+        let m = SharedMedium::new(Duration::from_millis(200));
+        for i in 0..5 {
+            m.contend(2, at(i * 30), AIR);
+        }
+        m.contend(1, at(10), AIR);
+        assert_eq!(m.contend(1, at(200), AIR), AIR);
+        // The charge scales with the sender's own airtime.
+        assert_eq!(m.contend(1, at(220), scale(AIR, 4)), scale(AIR, 4));
+        assert_eq!(m.stats().sends, 8);
+    }
+
+    #[test]
     fn clones_share_state() {
         let m = SharedMedium::new(Duration::from_millis(200));
         let m2 = m.clone();

@@ -1,7 +1,7 @@
 //! In-tree subset of the `bytes` crate.
 //!
-//! Provides [`Bytes`], [`BytesMut`], and the [`Buf`]/[`BufMut`] traits
-//! with exactly the methods this workspace uses. `Bytes` is a
+//! Provides [`Bytes`], [`BytesMut`], and the [`BufMut`] trait with
+//! exactly the methods this workspace uses. `Bytes` is a
 //! cheaply-cloneable immutable byte buffer backed by `Arc<[u8]>`;
 //! `BytesMut` is a growable buffer that freezes into `Bytes`.
 
@@ -163,8 +163,8 @@ impl Deref for BytesMut {
     }
 }
 
-/// Write access to a byte buffer (little-endian helpers included, as
-/// the codec in `lgv-middleware` uses the `_le` family exclusively).
+/// Write access to a byte buffer. The codec in `lgv-middleware`
+/// writes fixed-width values through `to_le_bytes` and `put_slice`.
 pub trait BufMut {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
@@ -172,42 +172,6 @@ pub trait BufMut {
     /// Append a `u8`.
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
-    }
-    /// Append an `i8`.
-    fn put_i8(&mut self, v: i8) {
-        self.put_slice(&[v as u8]);
-    }
-    /// Append a little-endian `u16`.
-    fn put_u16_le(&mut self, v: u16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `i16`.
-    fn put_i16_le(&mut self, v: i16) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `i32`.
-    fn put_i32_le(&mut self, v: i32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `i64`.
-    fn put_i64_le(&mut self, v: i64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `f32`.
-    fn put_f32_le(&mut self, v: f32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_slice(&v.to_le_bytes());
     }
 }
 
@@ -223,87 +187,6 @@ impl BufMut for Vec<u8> {
     }
 }
 
-macro_rules! get_le {
-    ($(#[$doc:meta] $fn:ident -> $ty:ty, $n:expr;)*) => {
-        $(
-            #[$doc]
-            fn $fn(&mut self) -> $ty {
-                let mut buf = [0u8; $n];
-                buf.copy_from_slice(&self.chunk()[..$n]);
-                self.advance($n);
-                <$ty>::from_le_bytes(buf)
-            }
-        )*
-    };
-}
-
-/// Read access to a byte buffer. Reads panic on underflow, matching the
-/// real crate; callers (the codec) bounds-check with [`Buf::remaining`]
-/// first.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// The unread bytes.
-    fn chunk(&self) -> &[u8];
-    /// Skip `n` bytes.
-    fn advance(&mut self, n: usize);
-
-    /// Read a `u8`.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-    /// Read an `i8`.
-    fn get_i8(&mut self) -> i8 {
-        self.get_u8() as i8
-    }
-
-    get_le! {
-        /// Read a little-endian `u16`.
-        get_u16_le -> u16, 2;
-        /// Read a little-endian `i16`.
-        get_i16_le -> i16, 2;
-        /// Read a little-endian `u32`.
-        get_u32_le -> u32, 4;
-        /// Read a little-endian `i32`.
-        get_i32_le -> i32, 4;
-        /// Read a little-endian `u64`.
-        get_u64_le -> u64, 8;
-        /// Read a little-endian `i64`.
-        get_i64_le -> i64, 8;
-        /// Read a little-endian `f32`.
-        get_f32_le -> f32, 4;
-        /// Read a little-endian `f64`.
-        get_f64_le -> f64, 8;
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, n: usize) {
-        *self = &self[n..];
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, n: usize) {
-        let rest = self.data[n..].to_vec();
-        self.data = Arc::from(rest.into_boxed_slice());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,17 +195,10 @@ mod tests {
     fn roundtrip_le() {
         let mut m = BytesMut::with_capacity(64);
         m.put_u8(7);
-        m.put_i16_le(-2);
-        m.put_u32_le(0xDEAD_BEEF);
-        m.put_f64_le(1.5);
+        m.put_slice(&0xDEAD_BEEFu32.to_le_bytes());
         m.put_slice(b"xyz");
         let b = m.freeze();
-        let mut r: &[u8] = &b;
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_i16_le(), -2);
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_f64_le(), 1.5);
-        assert_eq!(r, b"xyz");
+        assert_eq!(&b[..], &[7, 0xEF, 0xBE, 0xAD, 0xDE, b'x', b'y', b'z']);
     }
 
     #[test]

@@ -138,7 +138,9 @@ pub mod prelude {
 ///
 /// Supports an optional leading
 /// `#![proptest_config(ProptestConfig::with_cases(n))]` and one or
-/// more `fn name(pat in strategy, ...) { body }` items.
+/// more `fn name(pat in strategy, ...) { body }` items. As with the
+/// real crate, each item carries its own `#[test]`; the macro passes
+/// attributes through and adds none, so a property registers once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -158,7 +160,6 @@ macro_rules! __proptest_items {
     (($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __config = $cfg;
                 let __strategy = ($($strat,)+);

@@ -81,6 +81,21 @@ mod tests {
     }
 
     #[test]
+    fn runtime_tracks_what_remains_after_a_partial_drain() {
+        let mut b = Battery::new_wh(1.0);
+        b.drain(900.0);
+        assert!((b.remaining_wh() - 0.75).abs() < 1e-12);
+        assert!((b.runtime_at(2.0) - 1350.0).abs() < 1e-9);
+        assert!(!b.depleted());
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_is_rejected() {
+        let _ = Battery::new_wh(0.0);
+    }
+
+    #[test]
     fn runtime_estimate() {
         let b = Battery::new_wh(19.98);
         // Paper §I: the EC budget is ≈ 3.35 Wh for one hour; at a

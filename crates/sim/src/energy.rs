@@ -220,6 +220,49 @@ mod tests {
     }
 
     #[test]
+    fn trace_flush_emits_only_the_energy_gained_since_the_last_flush() {
+        let tracer = Tracer::enabled();
+        let ring = tracer.attach(lgv_trace::RingBufferSink::new(16));
+        let mut l = EnergyLedger::new();
+        l.set_tracer(tracer);
+        l.add(Component::Motor, 3.0);
+        l.add(Component::Sensor, 1.0);
+        l.trace_flush();
+        l.trace_flush(); // nothing new: no events
+        l.add(Component::Motor, 2.0);
+        l.trace_flush();
+        let ring = ring.lock().unwrap();
+        let deltas: Vec<(String, f64)> = ring
+            .records()
+            .map(|r| match &r.event {
+                TraceEvent::EnergyDelta { component, joules } => (component.clone(), *joules),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            deltas,
+            vec![
+                ("sensor".to_string(), 1.0),
+                ("motor".to_string(), 3.0),
+                ("motor".to_string(), 2.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn report_keeps_the_per_component_split() {
+        let mut l = EnergyLedger::new();
+        for (i, c) in Component::ALL.into_iter().enumerate() {
+            l.add(c, (i + 1) as f64);
+        }
+        let r = l.report(Duration::from_secs(2));
+        for c in Component::ALL {
+            assert_eq!(r.joules(c), l.joules(c), "{}", c.name());
+        }
+        assert_eq!(r.total_joules(), 15.0);
+    }
+
+    #[test]
     fn display_contains_components() {
         let l = EnergyLedger::new();
         let s = l.report(Duration::from_secs(1)).to_string();

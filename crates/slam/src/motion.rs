@@ -133,6 +133,47 @@ mod tests {
     }
 
     #[test]
+    fn sampling_is_reproducible_per_seed() {
+        let m = MotionModel::new(MotionNoise::default());
+        let run = |seed| {
+            let mut rng = SimRng::seed_from_u64(seed);
+            (0..20)
+                .map(|_| {
+                    m.sample(
+                        Pose2D::new(0.0, 0.0, 0.0),
+                        Pose2D::new(0.2, 0.05, 0.1),
+                        &mut rng,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(9), run(9));
+        assert_ne!(run(9), run(10));
+    }
+
+    #[test]
+    fn noiseless_sample_applies_the_delta_in_the_pose_frame() {
+        let m = MotionModel::new(MotionNoise {
+            alpha1: 0.0,
+            alpha2: 0.0,
+            alpha3: 0.0,
+            alpha4: 0.0,
+        });
+        assert_eq!(m.noise().alpha3, 0.0);
+        let mut rng = SimRng::seed_from_u64(5);
+        let (th, dx, dy, dth) = (0.3f64, 0.2, 0.1, 0.4);
+        let q = m.sample(
+            Pose2D::new(1.0, 1.0, th),
+            Pose2D::new(dx, dy, dth),
+            &mut rng,
+        );
+        let ex = 1.0 + dx * th.cos() - dy * th.sin();
+        let ey = 1.0 + dx * th.sin() + dy * th.cos();
+        assert!((q.x - ex).abs() < 1e-6 && (q.y - ey).abs() < 1e-6, "{q:?}");
+        assert!((q.theta - (th + dth)).abs() < 1e-6, "{q:?}");
+    }
+
+    #[test]
     fn motion_composes_in_local_frame() {
         // Facing +y, a forward delta should move the particle in +y.
         let m = MotionModel::new(MotionNoise {

@@ -1046,6 +1046,74 @@ mod tests {
         assert!(bad.to_json().contains("\"joules\":null"));
     }
 
+    fn record(event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            t_ns: 0,
+            seq: 0,
+            span: SpanId::NONE,
+            vehicle: 0,
+            event,
+        }
+    }
+
+    #[test]
+    fn send_kind_names_are_distinct() {
+        let names = [
+            SendKind::Transmitted.as_str(),
+            SendKind::Held.as_str(),
+            SendKind::Discarded.as_str(),
+        ];
+        assert_eq!(names, ["transmitted", "held", "discarded"]);
+    }
+
+    #[test]
+    fn category_names_are_unique_lowercase_words() {
+        let names: Vec<&str> = EventCategory::ALL.iter().map(|c| c.as_str()).collect();
+        for (i, n) in names.iter().enumerate() {
+            assert!(n.chars().all(|c| c.is_ascii_lowercase()), "{n}");
+            assert!(!names[..i].contains(n), "duplicate category {n}");
+        }
+    }
+
+    #[test]
+    fn json_escapes_control_characters() {
+        let rec = record(TraceEvent::MissionEnd {
+            completed: true,
+            reason: "tab\tcr\rbell\u{7}é".into(),
+        });
+        assert!(
+            rec.to_json()
+                .ends_with(r#""completed":true,"reason":"tab\tcr\rbell\u0007é"}"#),
+            "{}",
+            rec.to_json()
+        );
+    }
+
+    #[test]
+    fn json_infinite_floats_are_null() {
+        for joules in [f64::INFINITY, f64::NEG_INFINITY] {
+            let rec = record(TraceEvent::EnergyDelta {
+                component: "cpu".into(),
+                joules,
+            });
+            assert!(rec.to_json().ends_with(r#""joules":null}"#));
+        }
+    }
+
+    #[test]
+    fn vehicle_field_sits_between_the_envelope_and_the_kind() {
+        let solo = record(TraceEvent::RttSample { rtt_ns: 5 });
+        assert!(!solo.to_json().contains("vehicle"));
+        let tagged = TraceRecord {
+            vehicle: 17,
+            ..solo
+        };
+        assert_eq!(
+            tagged.to_json(),
+            r#"{"t_ns":0,"seq":0,"span":0,"vehicle":17,"kind":"rtt_sample","rtt_ns":5}"#
+        );
+    }
+
     #[test]
     fn unit_variant_encodes_without_fields() {
         let rec = TraceRecord {

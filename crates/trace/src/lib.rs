@@ -495,6 +495,78 @@ mod tests {
     }
 
     #[test]
+    fn lazy_emission_builds_each_event_once_when_enabled() {
+        let t = Tracer::enabled();
+        let ring = t.attach(RingBufferSink::new(4));
+        t.set_time_ns(30);
+        let mut built = 0;
+        t.emit_with(|| {
+            built += 1;
+            TraceEvent::MigrationAbort
+        });
+        t.emit_with_at(11, || TraceEvent::RttSample { rtt_ns: 2 });
+        assert_eq!(built, 1);
+        let ring = ring.lock().unwrap();
+        let times: Vec<u64> = ring.records().map(|r| r.t_ns).collect();
+        assert_eq!(times, vec![30, 11]);
+    }
+
+    #[test]
+    fn disabled_tracers_never_feed_their_sinks() {
+        let off = Tracer::disabled();
+        let ring = off.attach(RingBufferSink::new(4));
+        off.emit_at(1, TraceEvent::MigrationAbort);
+        off.emit_with_at(1, || panic!("must not be built"));
+        off.span_end(SpanId(1));
+        assert!(ring.lock().unwrap().is_empty());
+        let v = off.for_vehicle(3);
+        assert!(!v.is_enabled());
+        assert_eq!(v.vehicle(), 3);
+        assert_eq!(format!("{off:?}"), "Tracer(disabled)");
+    }
+
+    #[test]
+    fn span_records_carry_name_index_and_id() {
+        let t = Tracer::enabled();
+        let ring = t.attach(RingBufferSink::new(4));
+        let a = t.span_begin("cycle", 7);
+        t.span_end(a);
+        let b = t.span_begin("cycle", 8);
+        assert_eq!(b, SpanId(2), "span ids count up");
+        let ring = ring.lock().unwrap();
+        let events: Vec<&TraceEvent> = ring.records().map(|r| &r.event).collect();
+        assert_eq!(
+            events[0],
+            &TraceEvent::SpanBegin {
+                span: a,
+                name: "cycle".into(),
+                index: 7
+            }
+        );
+        assert_eq!(events[1], &TraceEvent::SpanEnd { span: a });
+        assert_eq!(ring.records().nth(2).unwrap().span, b);
+    }
+
+    #[test]
+    fn flush_reaches_every_sink() {
+        #[derive(Default)]
+        struct Flushes(u32);
+        impl TraceSink for Flushes {
+            fn record(&mut self, _rec: &TraceRecord) {}
+            fn flush(&mut self) {
+                self.0 += 1;
+            }
+        }
+        let t = Tracer::enabled();
+        let a = t.attach(Flushes::default());
+        let b = t.for_vehicle(4).attach(Flushes::default());
+        t.flush();
+        assert_eq!(a.lock().unwrap().0, 1);
+        assert_eq!(b.lock().unwrap().0, 1, "vehicle clones share the sink list");
+        assert!(format!("{t:?}").starts_with("Tracer { time_ns: 0"));
+    }
+
+    #[test]
     fn multiple_sinks_all_see_the_stream() {
         let t = Tracer::enabled();
         let ring = t.attach(RingBufferSink::new(4));

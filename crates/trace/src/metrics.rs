@@ -697,6 +697,95 @@ mod tests {
     }
 
     #[test]
+    fn empty_histogram_reports_zero_everywhere() {
+        let h = Histogram::default();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0.0);
+        assert_eq!(h.min(), 0.0);
+        assert_eq!(h.max(), 0.0);
+        assert_eq!(h.percentile(50.0), 0.0);
+    }
+
+    #[test]
+    fn percentile_clamps_p_to_the_sample_range() {
+        let mut h = Histogram::default();
+        for v in [5.0, 1.0, 3.0] {
+            h.observe(v);
+        }
+        assert_eq!(h.percentile(-10.0), 1.0);
+        assert_eq!(h.percentile(250.0), 5.0);
+        assert_eq!(h.percentile(100.0), 5.0);
+        assert_eq!(h.sum(), 9.0);
+    }
+
+    #[test]
+    fn merging_an_empty_histogram_changes_nothing() {
+        let mut h = Histogram::default();
+        h.observe(2.0);
+        h.observe(7.0);
+        let before = h.clone();
+        h.merge(&Histogram::default());
+        assert_eq!(h, before);
+        let mut empty = Histogram::default();
+        empty.merge(&before);
+        assert_eq!(empty, before);
+    }
+
+    #[test]
+    fn registry_lookups_of_unknown_names_are_empty() {
+        let mut m = MetricsRegistry::new();
+        assert_eq!(m.counter("nope"), 0);
+        assert_eq!(m.gauge("nope"), None);
+        assert!(m.histogram("nope").is_none());
+        assert!(m.dump().is_empty());
+        m.set_gauge("g", 1.0);
+        m.set_gauge("g", 2.5);
+        assert_eq!(m.gauge("g"), Some(2.5), "gauges keep the latest value");
+    }
+
+    #[test]
+    fn registry_sink_tracks_losses_gauges_and_energy() {
+        use crate::span::{MsgId, SpanId};
+        let mut m = MetricsRegistry::new();
+        for (seq, event) in [
+            TraceEvent::ChannelLoss {
+                dir: "down".into(),
+                seq: 4,
+                msg: MsgId(3),
+            },
+            TraceEvent::GovernorDecision {
+                mean_gap: 0.1,
+                threads: 6,
+            },
+            TraceEvent::EnergyDelta {
+                component: "motor".into(),
+                joules: 1.5,
+            },
+            TraceEvent::EnergyDelta {
+                component: "motor".into(),
+                joules: 0.5,
+            },
+            TraceEvent::MigrationAbort,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            m.record(&TraceRecord {
+                t_ns: 0,
+                seq: seq as u64,
+                span: SpanId::NONE,
+                vehicle: 0,
+                event,
+            });
+        }
+        assert_eq!(m.counter("channel.down.radio_loss"), 1);
+        assert_eq!(m.gauge("governor.threads"), Some(6.0));
+        assert_eq!(m.histogram("energy_j.motor").unwrap().sum(), 2.0);
+        assert_eq!(m.counter("events.energy_delta"), 2);
+        assert_eq!(m.counter("events.migration_abort"), 1);
+    }
+
+    #[test]
     fn dump_is_sorted_and_complete() {
         let mut m = MetricsRegistry::new();
         m.inc("z.last");

@@ -767,6 +767,138 @@ mod tests {
             .contains("rtt_ns"));
     }
 
+    /// A `governor_decision` line with the given `mean_gap` and
+    /// `threads` tokens.
+    fn governor_line(mean_gap: &str, threads: &str) -> String {
+        format!(
+            r#"{{"t_ns":1,"seq":1,"span":0,"kind":"governor_decision","mean_gap":{mean_gap},"threads":{threads}}}"#
+        )
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_accepted() {
+        let spaced = " { \"t_ns\" : 1 ,\t\"seq\":2, \"span\":0 , \"kind\" : \"rtt_sample\", \"rtt_ns\": 9 } ";
+        let rec = TraceReader::parse_line(spaced).unwrap();
+        assert_eq!(rec.event, TraceEvent::RttSample { rtt_ns: 9 });
+        assert_eq!(
+            rec.to_json(),
+            r#"{"t_ns":1,"seq":2,"span":0,"kind":"rtt_sample","rtt_ns":9}"#
+        );
+    }
+
+    #[test]
+    fn rejects_trailing_content_and_unterminated_objects() {
+        let ok = r#"{"t_ns":0,"seq":0,"span":0,"kind":"migration_abort"}"#;
+        assert!(TraceReader::parse_line(&format!("{ok}x"))
+            .unwrap_err()
+            .contains("trailing content"));
+        assert!(TraceReader::parse_line(&format!("{ok}{ok}")).is_err());
+        assert!(TraceReader::parse_line(&ok[..ok.len() - 1])
+            .unwrap_err()
+            .contains("unterminated object"));
+        assert!(TraceReader::parse_line("").is_err());
+        assert!(TraceReader::parse_line("{}").unwrap_err().contains("t_ns"));
+    }
+
+    #[test]
+    fn null_float_decodes_to_nan_and_reencodes_as_null() {
+        let line = governor_line("null", "4");
+        let rec = TraceReader::parse_line(&line).unwrap();
+        match rec.event {
+            TraceEvent::GovernorDecision { mean_gap, threads } => {
+                assert!(mean_gap.is_nan());
+                assert_eq!(threads, 4);
+            }
+            other => panic!("wrong event {other:?}"),
+        }
+        assert_eq!(rec.to_json(), line);
+    }
+
+    #[test]
+    fn float_fields_accept_integers_and_exponents() {
+        let rec = TraceReader::parse_line(&governor_line("2", "1")).unwrap();
+        assert!(
+            matches!(rec.event, TraceEvent::GovernorDecision { mean_gap, .. } if mean_gap == 2.0)
+        );
+        let rec = TraceReader::parse_line(&governor_line("-1.5e-3", "1")).unwrap();
+        assert!(
+            matches!(rec.event, TraceEvent::GovernorDecision { mean_gap, .. } if mean_gap == -1.5e-3)
+        );
+        assert!(TraceReader::parse_line(&governor_line("\"x\"", "1"))
+            .unwrap_err()
+            .contains("expected number"));
+    }
+
+    #[test]
+    fn integer_fields_reject_overflow_signs_and_fractions() {
+        let too_big = (u64::from(u32::MAX) + 1).to_string();
+        assert!(TraceReader::parse_line(&governor_line("0.5", &too_big))
+            .unwrap_err()
+            .contains("exceeds u32"));
+        assert!(TraceReader::parse_line(&governor_line("0.5", "-1")).is_err());
+        assert!(TraceReader::parse_line(&governor_line("0.5", "1.5")).is_err());
+        let huge = r#"{"t_ns":18446744073709551616,"seq":0,"span":0,"kind":"migration_abort"}"#;
+        assert!(TraceReader::parse_line(huge)
+            .unwrap_err()
+            .contains("bad integer"));
+    }
+
+    #[test]
+    fn channel_seq_is_read_past_the_envelope() {
+        // The envelope and the event both carry a `seq`; each must
+        // resolve to its own field.
+        let line = r#"{"t_ns":5,"seq":11,"span":0,"kind":"channel_deliver","dir":"up","seq":3,"msg":2,"latency_ns":4}"#;
+        let rec = TraceReader::parse_line(line).unwrap();
+        assert_eq!(rec.seq, 11);
+        assert!(matches!(
+            rec.event,
+            TraceEvent::ChannelDeliver { seq: 3, .. }
+        ));
+        assert_eq!(rec.to_json(), line);
+    }
+
+    #[test]
+    fn rejects_bad_escapes_and_unknown_outcomes() {
+        let with_reason = |reason: &str| {
+            format!(
+                r#"{{"t_ns":0,"seq":0,"span":0,"kind":"mission_end","completed":true,"reason":"{reason}"}}"#
+            )
+        };
+        for (reason, needle) in [
+            ("\\q", "invalid escape"),
+            ("\\ud83d", "high surrogate"),
+            ("\\ud83d\\u0041", "invalid low surrogate"),
+            ("\\u00zz", "bad hex digit"),
+            ("\\u00", "bad hex digit"),
+        ] {
+            let err = TraceReader::parse_line(&with_reason(reason)).unwrap_err();
+            assert!(err.contains(needle), "{reason}: {err}");
+        }
+        let send = r#"{"t_ns":0,"seq":0,"span":0,"kind":"channel_send","dir":"up","seq":0,"bytes":1,"outcome":"lost","msg":0}"#;
+        assert!(TraceReader::parse_line(send)
+            .unwrap_err()
+            .contains("unknown send outcome"));
+    }
+
+    #[test]
+    fn parse_str_skips_blank_lines_and_keeps_order() {
+        let a = r#"{"t_ns":0,"seq":0,"span":0,"kind":"migration_abort"}"#;
+        let b = r#"{"t_ns":1,"seq":1,"span":0,"kind":"rtt_sample","rtt_ns":2}"#;
+        let recs = TraceReader::parse_str(&format!("\n  \n{a}\n\t\n{b}")).unwrap();
+        assert_eq!(recs.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![0, 1]);
+        assert!(TraceReader::parse_str("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn read_file_reports_io_errors_at_line_zero() {
+        let missing = std::env::temp_dir().join("lgv-trace-reader-no-such-file.jsonl");
+        let err = TraceReader::read_file(&missing).unwrap_err();
+        assert_eq!(err.line_no, 0);
+        assert!(err
+            .to_string()
+            .starts_with("trace parse error: cannot read"));
+    }
+
     #[test]
     fn unicode_escapes_decode() {
         // Built via encode so the source stays free of raw control

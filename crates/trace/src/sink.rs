@@ -193,30 +193,92 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_writes_one_line_per_record() {
-        use std::sync::{Arc, Mutex};
+    fn ring_buffer_starts_empty_and_bumps_zero_capacity() {
+        let mut ring = RingBufferSink::new(0);
+        assert!(ring.is_empty());
+        assert_eq!(ring.total_seen(), 0);
+        ring.record(&rec(7));
+        ring.record(&rec(8));
+        assert_eq!(ring.len(), 1);
+        assert!(!ring.is_empty());
+        assert_eq!(ring.records().next().map(|r| r.seq), Some(8));
+    }
 
-        /// Shared in-memory writer so the test can read back what the
-        /// sink wrote.
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
+    #[test]
+    fn ring_buffer_below_capacity_keeps_everything_in_order() {
+        let mut ring = RingBufferSink::new(10);
+        for i in 0..4 {
+            ring.record(&rec(i));
+        }
+        let seqs: Vec<u64> = ring.records().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        assert_eq!(ring.total_seen(), 4);
+    }
+
+    #[test]
+    fn null_sink_accepts_records_and_flushes() {
+        let mut sink = NullSink;
+        sink.record(&rec(0));
+        sink.flush();
+    }
+
+    /// Shared in-memory writer so a test can read back what a sink
+    /// wrote.
+    #[derive(Clone)]
+    struct Shared(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Shared {
+        fn new() -> Self {
+            Shared(Default::default())
         }
 
-        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    #[test]
+    fn jsonl_lines_are_each_records_json() {
+        let buf = Shared::new();
+        let mut sink = JsonlSink::new(Box::new(buf.clone()));
+        let records = [rec(0), rec(1), rec(2)];
+        for r in &records {
+            sink.record(r);
+        }
+        sink.flush();
+        let expected: String = records.iter().map(|r| r.to_json() + "\n").collect();
+        assert_eq!(buf.text(), expected);
+    }
+
+    #[test]
+    fn jsonl_flushes_on_drop() {
+        let buf = Shared::new();
+        {
+            let mut sink = JsonlSink::new(Box::new(buf.clone()));
+            sink.record(&rec(5));
+            assert!(format!("{sink:?}").contains("lines: 1"));
+        }
+        assert_eq!(buf.text().lines().count(), 1);
+    }
+
+    #[test]
+    fn jsonl_writes_one_line_per_record() {
+        let buf = Shared::new();
         let mut sink = JsonlSink::new(Box::new(buf.clone()));
         sink.record(&rec(0));
         sink.record(&rec(1));
         sink.flush();
         assert_eq!(sink.lines(), 2);
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with('{') && lines[0].ends_with('}'));

@@ -74,4 +74,19 @@ mod tests {
         assert_eq!(SpanId(3).to_string(), "span#3");
         assert_eq!(MsgId(9).to_string(), "msg#9");
     }
+
+    #[test]
+    fn defaults_are_the_none_values() {
+        assert_eq!(SpanId::default(), SpanId::NONE);
+        assert_eq!(MsgId::default(), MsgId::NONE);
+        assert!(!MsgId(1).is_none());
+    }
+
+    #[test]
+    fn ids_order_by_allocation() {
+        let mut spans = vec![SpanId(3), SpanId::NONE, SpanId(1)];
+        spans.sort();
+        assert_eq!(spans, vec![SpanId::NONE, SpanId(1), SpanId(3)]);
+        assert!(MsgId(2) < MsgId(10));
+    }
 }

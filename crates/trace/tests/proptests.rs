@@ -1,7 +1,9 @@
 //! Property-based round-trip tests: every [`TraceEvent`] kind, filled
 //! with arbitrary values, must survive `to_json` → [`TraceReader`]
 //! parse → `to_json` byte-identically. Floats are generated from raw
-//! bits so the non-finite → `null` → NaN path is exercised too.
+//! bits so the non-finite → `null` → NaN path is exercised too. The
+//! reader must also reject every truncated line and return, never
+//! panic, on arbitrary text.
 
 use lgv_trace::{MsgId, SendKind, SpanId, TraceEvent, TraceReader, TraceRecord};
 use proptest::prelude::*;
@@ -207,19 +209,67 @@ proptest! {
 
     #[test]
     fn parse_rejects_truncated_lines(
-        cut in 1usize..40,
-        a in 0u64..1_000_000,
+        a in 0u64..1_000_000_000_000,
+        b in 0u32..1_000_000,
+        bits in 0u64..u64::MAX,
+        flag in any::<bool>(),
+        s in ".{0,12}",
     ) {
-        let rec = TraceRecord {
-            t_ns: a,
+        // Every strict prefix of every kind's line, cut at each char
+        // boundary (the empty line included), is an error.
+        let f = f64::from_bits(bits);
+        for (i, event) in all_kinds(&s, a, b, f, flag).into_iter().enumerate() {
+            let vehicle = if i % 2 == 0 { 0 } else { a % 33 };
+            let rec = TraceRecord { t_ns: a, seq: b as u64, span: SpanId::NONE, vehicle, event };
+            let line = rec.to_json();
+            for (cut, _) in line.char_indices() {
+                prop_assert!(
+                    TraceReader::parse_line(&line[..cut]).is_err(),
+                    "prefix of {} bytes parsed: {}", cut, &line[..cut]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_arbitrary_text(
+        text in ".{0,80}",
+        tokens in proptest::collection::vec(0usize..JSON_TOKENS.len(), 0..60),
+        (kind, at, len) in (0usize..34, 0usize..400, 0usize..6),
+        insert in ".{0,4}",
+        b in 0u32..1_000_000,
+    ) {
+        // Free text, JSON-shaped token soup, and valid lines with a
+        // span spliced out and replaced (multi-byte chars included).
+        let soup: String = tokens.iter().map(|&t| JSON_TOKENS[t]).collect();
+        let events = all_kinds(&text, b as u64, b, b as f64 * 0.5, b % 2 == 0);
+        let line = TraceRecord {
+            t_ns: b as u64,
             seq: 1,
             span: SpanId::NONE,
             vehicle: 0,
-            event: TraceEvent::RttSample { rtt_ns: a },
-        };
-        let line = rec.to_json();
-        prop_assume!(cut < line.len());
-        let truncated = &line[..line.len() - cut];
-        prop_assert!(TraceReader::parse_line(truncated).is_err());
+            event: events[kind % events.len()].clone(),
+        }
+        .to_json();
+        let bounds: Vec<usize> = line.char_indices().map(|(i, _)| i).chain([line.len()]).collect();
+        let start = bounds[at % bounds.len()];
+        let end = bounds[(at % bounds.len() + len).min(bounds.len() - 1)];
+        let spliced = format!("{}{}{}", &line[..start], insert, &line[end..]);
+        for input in [&text, &soup, &spliced] {
+            let _ = TraceReader::parse_line(input);
+        }
+        let _ = TraceReader::parse_str(&[text.as_str(), &soup, &line, &spliced].join("\n"));
     }
 }
+
+/// Fragments the token soup is built from: JSON punctuation, the
+/// envelope's keys and kinds, numbers at and past the integer limits,
+/// broken escapes, and multi-byte characters.
+#[rustfmt::skip]
+const JSON_TOKENS: &[&str] = &[
+    "{", "}", "[", "]", ":", ",", "\"", " ", "\n", "\\", "\\u", "\\u00e9", "\\ud83e",
+    "t_ns", "seq", "span", "vehicle", "kind", "rtt_ns", "\"t_ns\":", "\"kind\":",
+    "\"rtt_sample\"", "\"mission_start\"", "0", "-1", "1.5", "1e999", "-0",
+    "18446744073709551615", "18446744073709551616", "4294967296", "null", "true", "false",
+    "NaN", "é", "ж", "中", "🦀",
+];

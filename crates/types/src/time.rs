@@ -272,6 +272,35 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rate must be positive")]
+    fn rate_rejects_non_positive_frequencies() {
+        let _ = Rate::hz(0.0);
+    }
+
+    #[test]
+    fn rate_ticks_count_only_whole_periods() {
+        let r = Rate::hz(5.0);
+        assert_eq!(r.as_hz(), 5.0);
+        assert_eq!(r.ticks_in(Duration::from_millis(199)), 0);
+        assert_eq!(r.ticks_in(Duration::from_millis(399)), 1);
+        assert_eq!(r.ticks_in(Duration::ZERO), 0);
+    }
+
+    #[test]
+    fn min_max_and_unit_conversions() {
+        let (a, b) = (Duration::from_millis(3), Duration::from_millis(7));
+        assert_eq!(a.max(b), b);
+        assert_eq!(a.min(b), a);
+        assert_eq!(b.as_millis_f64(), 7.0);
+        assert_eq!(Duration::from_secs_f64(1e-9).as_nanos(), 1);
+        assert_eq!(SimTime::from_secs_f64(2.5).as_nanos(), 2_500_000_000);
+        let mut t = SimTime::from_nanos(10);
+        t += Duration::from_nanos(5);
+        assert_eq!(t.as_nanos(), 15);
+        assert_eq!(SimTime::from_secs_f64(1.25).to_string(), "t=1.250s");
+    }
+
+    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", Duration::from_millis(1500)), "1.500s");
         assert_eq!(format!("{}", Duration::from_micros(1500)), "1.500ms");

@@ -165,6 +165,31 @@ mod tests {
     }
 
     #[test]
+    fn add_assign_matches_add_and_keeps_the_widest_split() {
+        let mut acc = Work::ZERO;
+        acc += Work::with_parallel(1.0, 8.0, 4);
+        acc += Work::with_parallel(2.0, 2.0, 16);
+        acc += Work::serial(3.0);
+        assert_eq!(
+            acc,
+            Work::with_parallel(1.0, 8.0, 4)
+                + Work::with_parallel(2.0, 2.0, 16)
+                + Work::serial(3.0)
+        );
+        assert_eq!(acc.serial_cycles, 6.0);
+        assert_eq!(acc.parallel_items, 16);
+        assert_eq!(acc.cycles_per_item(), 10.0 / 16.0);
+    }
+
+    #[test]
+    fn serial_work_has_no_parallel_fraction() {
+        let w = Work::serial(42.0);
+        assert_eq!(w.total_cycles(), 42.0);
+        assert_eq!(w.parallel_fraction(), 0.0);
+        assert_eq!(w.cycles_per_item(), 0.0);
+    }
+
+    #[test]
     fn meter_accumulates_and_resets() {
         let mut m = WorkMeter::new();
         m.serial_ops(100, 2.0);

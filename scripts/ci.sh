@@ -24,6 +24,10 @@
 #             (--no-default-features) and verify quick-run checksums
 #             still match the committed baseline: tracing must be
 #             observability, never physics
+#   perfbench — one unit of each repo-benchmark workload (explore,
+#             fleet, chaos) at seed 0: every MissionReport fingerprint
+#             and chaos trace hash must match perfbench/expected.json
+#             and no mission may fail
 #
 # Stage selection: set LGV_CI_STAGES to a comma- or space-separated
 # subset (e.g. LGV_CI_STAGES=clippy,fmt,docs ./scripts/ci.sh). Stages
@@ -37,7 +41,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="build tests clippy fmt docs suite perf noprof"
+ALL_STAGES="build tests clippy fmt docs suite perf noprof perfbench"
 SELECT="${LGV_CI_STAGES:-$ALL_STAGES}"
 SELECT="${SELECT//,/ }"
 for s in $SELECT; do
@@ -150,6 +154,29 @@ stage_noprof() {
         target/BENCH_noprof.json BENCH_baseline_quick.json
 }
 
+stage_perfbench() {
+    # The benchmark's correctness check, run small: perfbench/run.py
+    # builds the benchmark into .bench_build, runs one unit of the
+    # workload (3 s, 11 s and 7.4 s units) and compares each vehicle's
+    # MissionReport::fingerprint (and the chaos trace hash) with
+    # perfbench/expected.json. A kernel change that moves simulated
+    # behaviour fails here. Its last stdout line is the result JSON.
+    local spec workload seconds out
+    for spec in explore:3 fleet:11 chaos:8; do
+        workload="${spec%%:*}"
+        seconds="${spec##*:}"
+        out=$(python3 perfbench/run.py --workload "$workload" --seed 0 \
+            --seconds "$seconds" | tail -n 1)
+        python3 - "$workload" "$out" <<'PY'
+import json, sys
+workload, out = sys.argv[1], json.loads(sys.argv[2])
+print(f"{workload}: correct={out['correct']} attempted={out['attempted']} failed={out['failed']}")
+if out["correct"] is not True or out["failed"] > 0:
+    sys.exit(f"perfbench {workload}: fingerprints differ from perfbench/expected.json or a mission failed")
+PY
+    done
+}
+
 run_stage build  "cargo build --release"
 run_stage tests  "cargo test"
 run_stage clippy "cargo clippy (warnings denied)"
@@ -158,6 +185,7 @@ run_stage docs   "docs (rustdoc warnings denied, doctests, schema drift)"
 run_stage suite  "evaluation-suite gate (quick, all scenarios)"
 run_stage perf   "perf-regression gate (vs committed quick baseline)"
 run_stage noprof "no-prof control build (checksum identity)"
+run_stage perfbench "repo benchmark, one unit per workload (fingerprint identity)"
 
 echo
 echo "stage timings:"
