@@ -5,8 +5,30 @@
 //! free space), and an inflation layer spreading cost outward from
 //! lethal cells so planners keep clearance. CostmapGen is both an ECN
 //! and the first node of the VDP (paper Table II / Fig. 4), so its
-//! cycle accounting matters: the per-update work is dominated by the
-//! full-grid inflation pass.
+//! cycle accounting matters.
+//!
+//! One update runs these phases over the full grid:
+//!
+//! 1. **Ray clearing**: trace every beam, clear the cells it passes and
+//!    mark its hit.
+//! 2. **Lethal seeding**: one branch-free pass turns the static layer
+//!    and the live marks into a distance grid of `0` (lethal) or `1e9`.
+//! 3. **Chamfer sweeps**: a forward and a backward sweep spread the
+//!    distance to the nearest lethal cell. Each row first takes its
+//!    three neighbours in the finished row above (below, going back);
+//!    those cells are independent of each other, so that pass
+//!    vectorizes. Then a serial chain takes the in-row neighbour.
+//! 4. **Master pass**: distance and known/unknown state become the
+//!    cost, with each distinct distance's `exp` computed once.
+//! 5. **Footprint clearing** and the **blocked-cell mask** (below).
+//!
+//! The split sweeps give the same bits as a per-cell five-way `min`.
+//! Every distance is a finite non-negative `f32` (0, `1e9`, or sums of
+//! the orthogonal and diagonal steps), with no NaN and no −0. So a
+//! `min` returns one of its operands, and any order of the same
+//! candidates picks the same value. The in-row term still reads its
+//! neighbour's final value. `Work` records the same op counts as
+//! before, so virtual time does not move.
 //!
 //! Every refresh also rebuilds a 1-bit *blocked-cell mask*: one bit
 //! per cell, set where the master cost is at least
@@ -230,82 +252,82 @@ impl Costmap {
     /// marks (SLAM pose jitter, stale readings) from trapping the
     /// robot inside its own inscribed zone.
     fn refresh(&mut self, map: &MapMsg, robot: Option<Point2>, meter: &mut WorkMeter) {
+        assert_eq!(map.dims, self.dims, "map geometry must match");
         let (w, h) = (self.dims.width as usize, self.dims.height as usize);
         let n = w * h;
-        debug_assert_eq!(map.cells.len(), n);
+        assert_eq!(map.cells.len(), n, "map cells must match its geometry");
 
         // Distance (in metres) to the nearest lethal cell, via a
-        // two-pass chamfer transform.
+        // two-pass chamfer transform: lethal cells seed 0, all others
+        // a "far" 1e9. The grid lives for this call only; kept on every
+        // vehicle of a fleet it would cost 4 B per cell each.
+        let (updates, ttl) = (self.updates, self.cfg.mark_ttl_updates);
+        let mut dist: Vec<f32> = self
+            .static_lethal
+            .iter()
+            .zip(&self.marked_at)
+            .map(|(&stat, &mark)| {
+                let marked = (mark != 0) & (updates - mark < ttl);
+                if stat | marked {
+                    0.0
+                } else {
+                    1e9
+                }
+            })
+            .collect();
         let res = self.dims.resolution;
-        let big = 1e9f32;
-        let mut dist = vec![big; n];
-        #[allow(clippy::needless_range_loop)] // two parallel arrays
-        for i in 0..n {
-            let lethal = self.static_lethal[i]
-                || (self.marked_at[i] != 0
-                    && self.updates - self.marked_at[i] < self.cfg.mark_ttl_updates);
-            if lethal {
-                dist[i] = 0.0;
-            }
-        }
         let (orth, diag) = (res as f32, res as f32 * std::f32::consts::SQRT_2);
-        // Forward sweep.
+        // Forward sweep: each row takes the row above, then its left
+        // neighbour.
         for row in 0..h {
-            for col in 0..w {
-                let i = row * w + col;
-                let mut d = dist[i];
-                if col > 0 {
-                    d = d.min(dist[i - 1] + orth);
-                }
-                if row > 0 {
-                    d = d.min(dist[i - w] + orth);
-                    if col > 0 {
-                        d = d.min(dist[i - w - 1] + diag);
-                    }
-                    if col + 1 < w {
-                        d = d.min(dist[i - w + 1] + diag);
-                    }
-                }
-                dist[i] = d;
+            let (done, rest) = dist.split_at_mut(row * w);
+            let cur = &mut rest[..w];
+            if row > 0 {
+                relax_from_row(cur, &done[(row - 1) * w..], orth, diag);
+            }
+            let mut left = f32::INFINITY;
+            for d in cur.iter_mut() {
+                left = min(*d, left + orth);
+                *d = left;
             }
         }
-        // Backward sweep.
+        // Backward sweep: each row takes the row below, then its right
+        // neighbour.
         for row in (0..h).rev() {
-            for col in (0..w).rev() {
-                let i = row * w + col;
-                let mut d = dist[i];
-                if col + 1 < w {
-                    d = d.min(dist[i + 1] + orth);
-                }
-                if row + 1 < h {
-                    d = d.min(dist[i + w] + orth);
-                    if col > 0 {
-                        d = d.min(dist[i + w - 1] + diag);
-                    }
-                    if col + 1 < w {
-                        d = d.min(dist[i + w + 1] + diag);
-                    }
-                }
-                dist[i] = d;
+            let (rest, done) = dist.split_at_mut((row + 1) * w);
+            let cur = &mut rest[row * w..];
+            if row + 1 < h {
+                relax_from_row(cur, &done[..w], orth, diag);
+            }
+            let mut right = f32::INFINITY;
+            for d in cur.iter_mut().rev() {
+                right = min(*d, right + orth);
+                *d = right;
             }
         }
 
         // Master grid from distance + known/unknown state.
         let inscribed = self.cfg.inscribed_radius as f32;
         let inflate = self.cfg.inflation_radius as f32;
-        #[allow(clippy::needless_range_loop)] // reads dist, writes master
-        for i in 0..n {
-            let d = dist[i];
-            self.master[i] = if d <= 0.0 {
+        let scaling = self.cfg.cost_scaling as f32;
+        let mut memo = InflationMemo::new();
+        for (((m, &d), &cell), &mark) in self
+            .master
+            .iter_mut()
+            .zip(&dist)
+            .zip(&map.cells)
+            .zip(&self.marked_at)
+        {
+            *m = if d <= 0.0 {
                 COST_LETHAL
             } else if d <= inscribed {
                 COST_INSCRIBED
             } else if d <= inflate {
-                let factor = (-(self.cfg.cost_scaling as f32) * (d - inscribed))
-                    .exp()
-                    .clamp(0.0, 1.0);
-                (factor * COST_FREE_MAX as f32) as u8
-            } else if map.cells[i] == MapMsg::UNKNOWN && self.marked_at[i] == 0 {
+                memo.cost(d, |d| {
+                    let factor = (-scaling * (d - inscribed)).exp().clamp(0.0, 1.0);
+                    (factor * COST_FREE_MAX as f32) as u8
+                })
+            } else if cell == MapMsg::UNKNOWN && mark == 0 {
                 COST_UNKNOWN
             } else {
                 0
@@ -355,6 +377,65 @@ impl Costmap {
         let total = n as f64 * cost::CYCLES_PER_REFRESH_CELL;
         meter.serial_ops(1, total * 0.1);
         meter.parallel_ops(1, total * 0.9, 512);
+    }
+}
+
+/// `min` of two distances. Every distance is a finite non-negative
+/// `f32`, so a compare-select picks the same operand as `f32::min`
+/// without its NaN handling, and vectorizes.
+#[inline(always)]
+fn min(a: f32, b: f32) -> f32 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// One chamfer step from the finished neighbouring row `adj` (above on
+/// the forward sweep, below on the backward one) into `cur`: the
+/// straight neighbour costs `orth`, the two diagonal ones `diag`. No
+/// cell of `cur` depends on another, so each pass vectorizes.
+fn relax_from_row(cur: &mut [f32], adj: &[f32], orth: f32, diag: f32) {
+    let w = cur.len();
+    for (d, &a) in cur.iter_mut().zip(adj) {
+        *d = min(*d, a + orth);
+    }
+    if w > 1 {
+        for (d, &a) in cur[1..].iter_mut().zip(&adj[..w - 1]) {
+            *d = min(*d, a + diag);
+        }
+        for (d, &a) in cur[..w - 1].iter_mut().zip(&adj[1..w]) {
+            *d = min(*d, a + diag);
+        }
+    }
+}
+
+/// Inflated costs already computed in one master pass, keyed by the
+/// exact bits of the distance. Direct-mapped: a slot holds the last
+/// distance that hashed to it, and starts out as a NaN pattern that no
+/// distance has.
+struct InflationMemo {
+    keys: [u32; 64],
+    costs: [u8; 64],
+}
+
+impl InflationMemo {
+    fn new() -> Self {
+        InflationMemo {
+            keys: [u32::MAX; 64],
+            costs: [0; 64],
+        }
+    }
+
+    fn cost(&mut self, d: f32, inflated: impl FnOnce(f32) -> u8) -> u8 {
+        let bits = d.to_bits();
+        let slot = (bits.wrapping_mul(0x9E37_79B9) >> 26) as usize;
+        if self.keys[slot] != bits {
+            self.keys[slot] = bits;
+            self.costs[slot] = inflated(d);
+        }
+        self.costs[slot]
     }
 }
 
@@ -661,10 +742,9 @@ mod tests {
         assert!(ml.finish().total_cycles() > 10.0 * ms.finish().total_cycles());
     }
 
-    #[test]
-    fn table2_costmap_cycle_anchor() {
-        // Lab-scale map (12×10 m at 5 cm): one update should cost
-        // ≈ 0.86/5 ≈ 0.17 Gcycles (Table II, CostmapGen with a map).
+    /// The `Work` of one update on the lab-scale map (12×10 m at 5 cm)
+    /// with a 360-beam scan.
+    fn lab_update_work() -> Work {
         let m = empty_map(240, 200);
         let mut cm = Costmap::from_map(CostmapConfig::default(), &m);
         let scan = LaserScan {
@@ -676,7 +756,90 @@ mod tests {
         };
         let mut meter = WorkMeter::new();
         cm.update(&m, Pose2D::new(6.0, 5.0, 0.0), &scan, &mut meter);
-        let g = meter.finish().total_cycles() / 1e9;
+        meter.finish()
+    }
+
+    #[test]
+    fn table2_costmap_cycle_anchor() {
+        // One update should cost ≈ 0.86/5 ≈ 0.17 Gcycles (Table II,
+        // CostmapGen with a map).
+        let g = lab_update_work().total_cycles() / 1e9;
         assert!((0.12..0.25).contains(&g), "per-update Gcycles {g}");
+    }
+
+    #[test]
+    fn lab_update_work_is_pinned_to_the_bit() {
+        // Virtual time follows these cycles, so a kernel rewrite must
+        // leave the recorded op counts exactly as they are.
+        let work = lab_update_work();
+        assert_eq!(work.total_cycles().to_bits(), 0x41a2_ccd2_3000_0000);
+        assert_eq!(work.serial_cycles.to_bits(), 0x4172_9091_8000_0000);
+        assert_eq!(work.parallel_items, 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "map geometry must match")]
+    fn update_rejects_a_map_with_other_dims_and_the_same_cell_count() {
+        let mut cm = Costmap::from_map(CostmapConfig::default(), &empty_map(120, 100));
+        let scan = LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: PI,
+            range_max: 3.5,
+            ranges: vec![1.0, 1.0],
+        };
+        let transposed = empty_map(100, 120);
+        cm.update(
+            &transposed,
+            Pose2D::new(2.0, 2.0, 0.0),
+            &scan,
+            &mut WorkMeter::new(),
+        );
+    }
+
+    /// Costs along a one-cell-wide strip of `len` cells, laid out as a
+    /// row (`len`×1) or a column (1×`len`), with the cell at `wall`
+    /// occupied.
+    fn strip_costs(len: u32, wall: usize, as_row: bool) -> Vec<u8> {
+        let (w, h) = if as_row { (len, 1) } else { (1, len) };
+        let mut m = empty_map(w, h);
+        m.cells[wall] = MapMsg::OCCUPIED;
+        let cm = Costmap::from_map(CostmapConfig::default(), &m);
+        (0..len as i32)
+            .map(|i| {
+                let idx = if as_row {
+                    GridIndex::new(i, 0)
+                } else {
+                    GridIndex::new(0, i)
+                };
+                cm.cost(idx)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn inflation_falls_off_monotonically_along_single_row_and_column_grids() {
+        // The row takes only the in-row chain, the column only the
+        // row-neighbour pass: both must spread cost the same way.
+        let (len, wall) = (40, 12);
+        let row = strip_costs(len, wall, true);
+        assert_eq!(row, strip_costs(len, wall, false));
+        assert_eq!(row[wall], COST_LETHAL);
+        assert_eq!(row[wall - 1], COST_INSCRIBED);
+        assert_eq!(row[wall + 1], COST_INSCRIBED);
+        for side in [
+            &row[wall..],
+            &row[..=wall].iter().rev().copied().collect::<Vec<_>>()[..],
+        ] {
+            assert!(side.windows(2).all(|p| p[1] <= p[0]), "{side:?}");
+            assert!(
+                side.iter().any(|&c| c > 0 && c < COST_INSCRIBED),
+                "{side:?}"
+            );
+            assert_eq!(*side.last().unwrap(), 0, "{side:?}");
+        }
+        // A single cell.
+        assert_eq!(strip_costs(1, 0, true), vec![COST_LETHAL]);
+        assert_eq!(strip_costs(1, 0, false), vec![COST_LETHAL]);
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based tests for the navigation stack: planner optimality
 //! and safety, costmap invariants, DWA feasibility guarantees.
 
-use lgv_nav::costmap::{Costmap, CostmapConfig, COST_INSCRIBED, COST_LETHAL};
+use lgv_nav::costmap::{
+    cost, Costmap, CostmapConfig, COST_FREE_MAX, COST_INSCRIBED, COST_LETHAL, COST_UNKNOWN,
+};
 use lgv_nav::dwa::{DwaConfig, DwaPlanner};
 use lgv_nav::frontier::FrontierExplorer;
 use lgv_nav::global_planner::{GlobalPlanner, PlannerAlgorithm, PlannerConfig};
@@ -255,15 +257,19 @@ fn random_scan(seed: u64) -> LaserScan {
 }
 
 /// The per-cell footprint test: every cell of the disc's bounding box,
-/// out-of-bounds cells lethal.
-fn reference_footprint_collides(cm: &Costmap, p: Point2, r: f64) -> bool {
-    let dims = cm.dims();
+/// out-of-bounds cells lethal (as `cost` must report them).
+fn reference_footprint_collides(
+    dims: &GridDims,
+    cost: impl Fn(GridIndex) -> u8,
+    p: Point2,
+    r: f64,
+) -> bool {
     let lo = dims.world_to_grid(Point2::new(p.x - r, p.y - r));
     let hi = dims.world_to_grid(Point2::new(p.x + r, p.y + r));
     for row in lo.row..=hi.row {
         for col in lo.col..=hi.col {
             let idx = GridIndex::new(col, row);
-            if cm.cost(idx) >= COST_INSCRIBED {
+            if cost(idx) >= COST_INSCRIBED {
                 let c = dims.grid_to_world(idx);
                 if c.distance(p) <= r + dims.resolution * 0.71 {
                     return true;
@@ -326,7 +332,12 @@ fn reference_compute(
             for _ in 0..steps {
                 p = p.integrate(Twist::new(v, w), cfg.sim_dt);
                 total_steps += 1;
-                if reference_footprint_collides(cm, p.position(), cfg.footprint_radius) {
+                if reference_footprint_collides(
+                    cm.dims(),
+                    |i| cm.cost(i),
+                    p.position(),
+                    cfg.footprint_radius,
+                ) {
                     feasible = false;
                     break;
                 }
@@ -470,7 +481,7 @@ proptest! {
             let p = probe_point(cm.dims(), edge, u, t);
             prop_assert_eq!(
                 cm.footprint_collides(p, r),
-                reference_footprint_collides(&cm, p, r),
+                reference_footprint_collides(cm.dims(), |i| cm.cost(i), p, r),
                 "footprint at {:?} radius {}", p, r
             );
         }
@@ -524,6 +535,257 @@ proptest! {
             prop_assert_eq!(got.work.parallel_items, want.work.parallel_items);
             last = want.twist;
             pose = pose.integrate(last, 0.2);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Equivalence of the costmap refresh kernel with its straightforward
+// form.
+//
+// `Costmap::refresh` splits each chamfer sweep row into a pass over the
+// neighbouring row and a serial in-row chain, and seeds lethal cells in
+// one pass. The reference below is the costmap as it was written
+// before: fill with `1e9`, overwrite lethal cells, then one five-way
+// `f32::min` chain per cell in each sweep. The kernel must agree with
+// it on every cost, every footprint answer and the `Work` it records.
+// ---------------------------------------------------------------------
+
+/// The costmap with its original two-pass refresh.
+struct ReferenceCostmap {
+    cfg: CostmapConfig,
+    dims: GridDims,
+    static_lethal: Vec<bool>,
+    marked_at: Vec<u32>,
+    master: Vec<u8>,
+    updates: u32,
+}
+
+impl ReferenceCostmap {
+    fn from_map(cfg: CostmapConfig, map: &MapMsg) -> Self {
+        let mut cm = ReferenceCostmap::empty(cfg, map.dims);
+        cm.set_static_map(map);
+        cm.refresh(map, None, &mut WorkMeter::new());
+        cm
+    }
+
+    fn empty(cfg: CostmapConfig, dims: GridDims) -> Self {
+        ReferenceCostmap {
+            cfg,
+            dims,
+            static_lethal: vec![false; dims.len()],
+            marked_at: vec![0; dims.len()],
+            master: vec![COST_UNKNOWN; dims.len()],
+            updates: 0,
+        }
+    }
+
+    fn cost(&self, idx: GridIndex) -> u8 {
+        if self.dims.contains(idx) {
+            self.master[self.dims.flat(idx)]
+        } else {
+            COST_LETHAL
+        }
+    }
+
+    fn set_static_map(&mut self, map: &MapMsg) {
+        for (dst, &c) in self.static_lethal.iter_mut().zip(&map.cells) {
+            *dst = c == MapMsg::OCCUPIED;
+        }
+    }
+
+    fn update(&mut self, map: &MapMsg, pose: Pose2D, scan: &LaserScan, meter: &mut WorkMeter) {
+        self.updates += 1;
+        let origin = pose.position();
+        let mut ray_cells = 0u64;
+        for i in 0..scan.len() {
+            let endpoint = scan.beam_endpoint(pose, i);
+            let end_cell = self.dims.world_to_grid(endpoint);
+            for cell in GridRay::new(&self.dims, origin, endpoint) {
+                ray_cells += 1;
+                if cell == end_cell {
+                    break;
+                }
+                if self.dims.contains(cell) {
+                    let flat = self.dims.flat(cell);
+                    self.marked_at[flat] = 0;
+                }
+            }
+            if scan.is_hit(i) && self.dims.contains(end_cell) {
+                let flat = self.dims.flat(end_cell);
+                self.marked_at[flat] = self.updates;
+            }
+        }
+        meter.serial_ops(ray_cells, cost::CYCLES_PER_RAY_CELL);
+        self.refresh(map, Some(pose.position()), meter);
+    }
+
+    #[allow(clippy::needless_range_loop)]
+    fn refresh(&mut self, map: &MapMsg, robot: Option<Point2>, meter: &mut WorkMeter) {
+        let (w, h) = (self.dims.width as usize, self.dims.height as usize);
+        let n = w * h;
+        let res = self.dims.resolution;
+        let big = 1e9f32;
+        let mut dist = vec![big; n];
+        for i in 0..n {
+            let lethal = self.static_lethal[i]
+                || (self.marked_at[i] != 0
+                    && self.updates - self.marked_at[i] < self.cfg.mark_ttl_updates);
+            if lethal {
+                dist[i] = 0.0;
+            }
+        }
+        let (orth, diag) = (res as f32, res as f32 * std::f32::consts::SQRT_2);
+        for row in 0..h {
+            for col in 0..w {
+                let i = row * w + col;
+                let mut d = dist[i];
+                if col > 0 {
+                    d = d.min(dist[i - 1] + orth);
+                }
+                if row > 0 {
+                    d = d.min(dist[i - w] + orth);
+                    if col > 0 {
+                        d = d.min(dist[i - w - 1] + diag);
+                    }
+                    if col + 1 < w {
+                        d = d.min(dist[i - w + 1] + diag);
+                    }
+                }
+                dist[i] = d;
+            }
+        }
+        for row in (0..h).rev() {
+            for col in (0..w).rev() {
+                let i = row * w + col;
+                let mut d = dist[i];
+                if col + 1 < w {
+                    d = d.min(dist[i + 1] + orth);
+                }
+                if row + 1 < h {
+                    d = d.min(dist[i + w] + orth);
+                    if col > 0 {
+                        d = d.min(dist[i + w - 1] + diag);
+                    }
+                    if col + 1 < w {
+                        d = d.min(dist[i + w + 1] + diag);
+                    }
+                }
+                dist[i] = d;
+            }
+        }
+        let inscribed = self.cfg.inscribed_radius as f32;
+        let inflate = self.cfg.inflation_radius as f32;
+        for i in 0..n {
+            let d = dist[i];
+            self.master[i] = if d <= 0.0 {
+                COST_LETHAL
+            } else if d <= inscribed {
+                COST_INSCRIBED
+            } else if d <= inflate {
+                let factor = (-(self.cfg.cost_scaling as f32) * (d - inscribed))
+                    .exp()
+                    .clamp(0.0, 1.0);
+                (factor * COST_FREE_MAX as f32) as u8
+            } else if map.cells[i] == MapMsg::UNKNOWN && self.marked_at[i] == 0 {
+                COST_UNKNOWN
+            } else {
+                0
+            };
+        }
+        if let Some(p) = robot {
+            let clear_r = self.cfg.inscribed_radius + 0.06;
+            let lo = self
+                .dims
+                .world_to_grid(Point2::new(p.x - clear_r, p.y - clear_r));
+            let hi = self
+                .dims
+                .world_to_grid(Point2::new(p.x + clear_r, p.y + clear_r));
+            for row in lo.row..=hi.row {
+                for col in lo.col..=hi.col {
+                    let idx = GridIndex::new(col, row);
+                    if self.dims.contains(idx)
+                        && self.dims.grid_to_world(idx).distance(p) <= clear_r
+                    {
+                        let flat = self.dims.flat(idx);
+                        self.master[flat] = self.master[flat].min(COST_FREE_MAX);
+                        self.marked_at[flat] = 0;
+                    }
+                }
+            }
+        }
+        let total = n as f64 * cost::CYCLES_PER_REFRESH_CELL;
+        meter.serial_ops(1, total * 0.1);
+        meter.parallel_ops(1, total * 0.9, 512);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn costmap_refresh_matches_reference_chamfer(
+        seed in 0u64..10_000,
+        (si, from_map) in (0usize..9, any::<bool>()),
+        (blocks, speckle_pct, unknown_pct) in (0usize..12, 0usize..10, 0usize..50),
+        (ttl, inscribed, inflation) in (0usize..4, 0.0f64..0.2, 0.0f64..0.6),
+        ops in proptest::collection::vec((0usize..4, -0.1f64..1.1, -0.1f64..1.1, 0u64..1000), 0..32),
+        probes in proptest::collection::vec((0usize..6, 0.0f64..1.0, 0.0f64..1.0, 0.01f64..0.2), 40..80),
+    ) {
+        // Widths 1, 2 and either side of a 64-cell word, a 130-wide
+        // grid, and single-row grids.
+        let size = [
+            (1, 37), (2, 29), (63, 21), (64, 17), (65, 24), (130, 19),
+            (50, 1), (130, 1), (1, 1),
+        ][si];
+        let map = random_map(seed, size, blocks, speckle_pct, unknown_pct);
+        // Short mark lifetimes let marks expire inside the sequence.
+        let cfg = CostmapConfig {
+            inscribed_radius: inscribed,
+            inflation_radius: inscribed + inflation,
+            mark_ttl_updates: [1, 2, 5, 25][ttl],
+            ..Default::default()
+        };
+        let (mut cm, mut reference) = if from_map {
+            (Costmap::from_map(cfg.clone(), &map), ReferenceCostmap::from_map(cfg, &map))
+        } else {
+            (Costmap::empty(cfg.clone(), map.dims), ReferenceCostmap::empty(cfg, map.dims))
+        };
+        let mut known = map.clone();
+        let (wx, wy) = map.dims.world_size();
+        let (mut meter, mut want) = (WorkMeter::new(), WorkMeter::new());
+        for &(kind, u, t, s) in &ops {
+            if kind == 0 {
+                known = random_map(seed ^ s, size, blocks, speckle_pct, unknown_pct);
+                cm.set_static_map(&known);
+                reference.set_static_map(&known);
+            } else {
+                // Poses may sit just outside the grid; footprint
+                // clearing then touches only its in-grid part.
+                let pose = Pose2D::new(u * wx, t * wy, s as f64 * 0.01);
+                let scan = random_scan(s);
+                cm.update(&known, pose, &scan, &mut meter);
+                reference.update(&known, pose, &scan, &mut want);
+            }
+            for row in 0..size.1 as i32 {
+                for col in 0..size.0 as i32 {
+                    let idx = GridIndex::new(col, row);
+                    prop_assert_eq!(cm.cost(idx), reference.cost(idx), "cost at {:?}", idx);
+                }
+            }
+        }
+        let (got, want) = (meter.finish(), want.finish());
+        prop_assert_eq!(got.total_cycles().to_bits(), want.total_cycles().to_bits());
+        prop_assert_eq!(got.serial_cycles.to_bits(), want.serial_cycles.to_bits());
+        prop_assert_eq!(got.parallel_cycles.to_bits(), want.parallel_cycles.to_bits());
+        prop_assert_eq!(got.parallel_items, want.parallel_items);
+        for &(edge, u, t, r) in &probes {
+            let p = probe_point(cm.dims(), edge, u, t);
+            prop_assert_eq!(
+                cm.footprint_collides(p, r),
+                reference_footprint_collides(&reference.dims, |i| reference.cost(i), p, r),
+                "footprint at {:?} radius {}", p, r
+            );
         }
     }
 }

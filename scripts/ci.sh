@@ -25,9 +25,9 @@
 #             still match the committed baseline: tracing must be
 #             observability, never physics
 #   perfbench — one unit of each repo-benchmark workload (explore,
-#             fleet, chaos) at seed 0: every MissionReport fingerprint
-#             and chaos trace hash must match perfbench/expected.json
-#             and no mission may fail
+#             fleet, chaos) at seed 0 and at the held-out seed 11:
+#             every MissionReport fingerprint and chaos trace hash must
+#             match perfbench/expected.json and no mission may fail
 #
 # Stage selection: set LGV_CI_STAGES to a comma- or space-separated
 # subset (e.g. LGV_CI_STAGES=clippy,fmt,docs ./scripts/ci.sh). Stages
@@ -160,20 +160,24 @@ stage_perfbench() {
     # workload (3 s, 11 s and 7.4 s units) and compares each vehicle's
     # MissionReport::fingerprint (and the chaos trace hash) with
     # perfbench/expected.json. A kernel change that moves simulated
-    # behaviour fails here. Its last stdout line is the result JSON.
-    local spec workload seconds out
+    # behaviour fails here. Each unit runs at seed 0 and at the
+    # held-out seed 11, so a rewrite that is exact only on the seed it
+    # was tuned on fails too. Its last stdout line is the result JSON.
+    local spec workload seconds seed out
     for spec in explore:3 fleet:11 chaos:8; do
         workload="${spec%%:*}"
         seconds="${spec##*:}"
-        out=$(python3 perfbench/run.py --workload "$workload" --seed 0 \
-            --seconds "$seconds" | tail -n 1)
-        python3 - "$workload" "$out" <<'PY'
+        for seed in 0 11; do
+            out=$(python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+                --seconds "$seconds" | tail -n 1)
+            python3 - "$workload" "$seed" "$out" <<'PY'
 import json, sys
-workload, out = sys.argv[1], json.loads(sys.argv[2])
-print(f"{workload}: correct={out['correct']} attempted={out['attempted']} failed={out['failed']}")
+workload, seed, out = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+print(f"{workload} seed {seed}: correct={out['correct']} attempted={out['attempted']} failed={out['failed']}")
 if out["correct"] is not True or out["failed"] > 0:
-    sys.exit(f"perfbench {workload}: fingerprints differ from perfbench/expected.json or a mission failed")
+    sys.exit(f"perfbench {workload} seed {seed}: fingerprints differ from perfbench/expected.json or a mission failed")
 PY
+        done
     done
 }
 
