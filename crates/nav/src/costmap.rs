@@ -222,23 +222,21 @@ impl Costmap {
         let origin = pose.position();
         let mut ray_cells = 0u64;
         for i in 0..scan.len() {
-            let endpoint = scan.beam_endpoint(pose, i);
-            let end_cell = self.dims.world_to_grid(endpoint);
-            // Clear along the beam.
-            for cell in GridRay::new(&self.dims, origin, endpoint) {
+            let mut ray = FlatRay::new(&self.dims, origin, scan.beam_endpoint(pose, i));
+            // Clear along the beam, up to (excluding) the end cell; the
+            // count includes off-grid cells and the end cell itself.
+            for cell in &mut ray {
                 ray_cells += 1;
-                if cell == end_cell {
-                    break;
-                }
-                if self.dims.contains(cell) {
-                    let flat = self.dims.flat(cell);
+                if let Some(flat) = cell {
                     self.marked_at[flat] = 0;
                 }
             }
+            ray_cells += ray.reached_end() as u64;
             // Mark the hit.
-            if scan.is_hit(i) && self.dims.contains(end_cell) {
-                let flat = self.dims.flat(end_cell);
-                self.marked_at[flat] = self.updates;
+            if scan.is_hit(i) {
+                if let Some(flat) = ray.end_flat() {
+                    self.marked_at[flat] = self.updates;
+                }
             }
         }
         meter.serial_ops(ray_cells, cost::CYCLES_PER_RAY_CELL);

@@ -4,6 +4,18 @@
 //! space along each beam and reinforces the endpoint cell; queries
 //! expose occupancy probability for the scan matcher and export to the
 //! wire-format [`MapMsg`].
+//!
+//! Integration is the larger half of SLAM host time (every particle,
+//! every beam, every cell along it). It walks each beam with
+//! [`FlatRay`], which visits exactly the cells of a [`GridRay`] in the
+//! same order and under the same cell budget, but steps a row-major
+//! flat index instead of testing `contains` and recomputing `flat`
+//! per cell. Each cell gets the same `(l + δ).clamp(..)` update in the
+//! same order, so every log-odds value is bit-for-bit what the
+//! cell-by-cell walk produced. The cell-update count that feeds the
+//! work meter also matches: it counts every cell before the end cell,
+//! including the ones off the grid that no update touches, plus the
+//! end cell of each hit beam whether or not it is on the grid.
 
 use lgv_types::prelude::*;
 
@@ -16,17 +28,21 @@ const L_MIN: f32 = -8.0;
 /// Upper clamp bound.
 const L_MAX: f32 = 8.0;
 /// Threshold above which a cell counts as occupied.
-const L_OCC_THRESHOLD: f32 = 0.7;
+pub(crate) const L_OCC_THRESHOLD: f32 = 0.7;
 /// Threshold below which a cell counts as free.
-const L_FREE_THRESHOLD: f32 = -0.7;
+pub(crate) const L_FREE_THRESHOLD: f32 = -0.7;
 
 /// A mutable occupancy-grid map with log-odds cells.
 #[derive(Debug, Clone)]
 pub struct OccupancyGrid {
     dims: GridDims,
     logodds: Vec<f32>,
-    /// Count of cells ever touched by an observation.
-    observed: usize,
+}
+
+/// One clamped log-odds update.
+#[inline]
+fn bump(l: &mut f32, delta: f32) {
+    *l = (*l + delta).clamp(L_MIN, L_MAX);
 }
 
 impl OccupancyGrid {
@@ -35,13 +51,17 @@ impl OccupancyGrid {
         OccupancyGrid {
             dims,
             logodds: vec![0.0; dims.len()],
-            observed: 0,
         }
     }
 
     /// Grid geometry.
     pub fn dims(&self) -> &GridDims {
         &self.dims
+    }
+
+    /// All log-odds cells, row-major.
+    pub(crate) fn cells(&self) -> &[f32] {
+        &self.logodds
     }
 
     /// Raw log-odds of a cell (0 = unknown); out of bounds reads 0.
@@ -74,20 +94,11 @@ impl OccupancyGrid {
         !self.is_occupied(idx) && !self.is_free(idx)
     }
 
-    /// Number of cells ever updated.
+    /// Number of cells whose log-odds differs from the prior (0), i.e.
+    /// the cells the map holds any evidence about. Computed on demand:
+    /// a cell whose updates cancel out exactly counts as unobserved.
     pub fn observed_cells(&self) -> usize {
-        self.observed
-    }
-
-    fn bump(&mut self, idx: GridIndex, delta: f32) {
-        if self.dims.contains(idx) {
-            let flat = self.dims.flat(idx);
-            let old = self.logodds[flat];
-            if old == 0.0 {
-                self.observed += 1;
-            }
-            self.logodds[flat] = (old + delta).clamp(L_MIN, L_MAX);
-        }
+        self.logodds.iter().filter(|&&l| l != 0.0).count()
     }
 
     /// Integrate a laser scan taken from `pose`: carve free space
@@ -95,21 +106,22 @@ impl OccupancyGrid {
     /// updates in `meter` (the dominant map-update cost).
     pub fn integrate_scan(&mut self, pose: Pose2D, scan: &LaserScan, meter: &mut WorkMeter) {
         let origin = pose.position();
+        let dims = self.dims;
+        let logodds = &mut self.logodds[..];
         let mut cell_updates = 0u64;
         for i in 0..scan.len() {
-            let hit = scan.is_hit(i);
-            let endpoint = scan.beam_endpoint(pose, i);
+            let mut ray = FlatRay::new(&dims, origin, scan.beam_endpoint(pose, i));
             // Free space up to (but excluding) the endpoint cell.
-            let end_cell = self.dims.world_to_grid(endpoint);
-            for cell in GridRay::new(&self.dims, origin, endpoint) {
-                if cell == end_cell {
-                    break;
+            for cell in &mut ray {
+                if let Some(flat) = cell {
+                    bump(&mut logodds[flat], L_FREE);
                 }
-                self.bump(cell, L_FREE);
                 cell_updates += 1;
             }
-            if hit {
-                self.bump(end_cell, L_OCC);
+            if scan.is_hit(i) {
+                if let Some(flat) = ray.end_flat() {
+                    bump(&mut logodds[flat], L_OCC);
+                }
                 cell_updates += 1;
             }
         }
@@ -150,11 +162,9 @@ impl OccupancyGrid {
                 _ => 0.0,
             })
             .collect();
-        let observed = msg.cells.iter().filter(|&&c| c != MapMsg::UNKNOWN).count();
         OccupancyGrid {
             dims: msg.dims,
             logodds,
-            observed,
         }
     }
 }
@@ -239,6 +249,32 @@ mod tests {
         assert!(g.logodds(hit_cell) <= L_MAX);
         let mid = g.dims().world_to_grid(Point2::new(3.0, 2.5));
         assert!(g.logodds(mid) >= L_MIN);
+    }
+
+    #[test]
+    fn a_cell_whose_logodds_returns_to_the_prior_is_observed_once() {
+        // Both scans touch only the cell under the pose: a short hit
+        // ends inside it (+L_OCC), a max-range miss ends in the next
+        // cell and carves it (+L_FREE).
+        let mut g = OccupancyGrid::new(dims());
+        let pose = Pose2D::new(2.525, 2.525, 0.0);
+        let beam = |range: f64| LaserScan {
+            stamp: SimTime::EPOCH,
+            angle_min: 0.0,
+            angle_increment: 0.0,
+            range_max: 0.06,
+            ranges: vec![range],
+        };
+        let (occ, free) = (beam(0.01), beam(0.06));
+        let cell = g.dims().world_to_grid(pose.position());
+        let mut m = WorkMeter::new();
+        // 7 × 0.9 and 18 × -0.35 sum to exactly 0.0 in f32.
+        for c in "ooooffffffoffffoffffffoff".chars() {
+            g.integrate_scan(pose, if c == 'o' { &occ } else { &free }, &mut m);
+        }
+        assert_eq!(g.logodds(cell), 0.0);
+        g.integrate_scan(pose, &occ, &mut m);
+        assert_eq!(g.observed_cells(), 1);
     }
 
     #[test]

@@ -3,8 +3,48 @@
 //! Grids are row-major with cell `(0, 0)` at the world-frame origin
 //! corner. `GridDims` carries the resolution (metres per cell) and the
 //! world-frame origin so world↔grid conversion lives in one place.
+//!
+//! Two pieces here sit under every per-beam kernel (lidar ray-cast,
+//! SLAM scoring and integration, costmap clearing), so both are kept
+//! bit-for-bit equal to their textbook forms:
+//!
+//! - **[`floor_i32`]** replaces `x.floor() as i32`. The default x86-64
+//!   target has no SSE4.1 `roundsd`, so `f64::floor` is an indirect
+//!   call into libm that also stops the callers' loops from
+//!   vectorizing. `x as i32` truncates toward zero and saturates (NaN
+//!   gives 0); the truncation `t` is above `x` exactly when `x` is a
+//!   negative non-integer, and then `floor(x) = t - 1`. `t as f64` is
+//!   exact for every `i32`, so the compare decides correctly, and
+//!   `saturating_sub` keeps `i32::MIN` where the old cast saturated
+//!   too. NaN, ±∞, -0.0 and both saturation edges give the same `i32`
+//!   as before (unit test and a property over arbitrary bit patterns).
+//! - **[`FlatRay`]** walks the same cells as [`GridRay`], in the same
+//!   order and under the same cell budget: both step through one
+//!   shared `advance`, so the `t_max` compares and adds happen in the
+//!   same order. It carries the row-major flat index along (±1 or
+//!   ±width per step) and one in-bounds flag per axis, so each cell
+//!   costs one unsigned compare instead of a `contains` plus a `flat`.
+//!   Cells outside the grid are still visited and reported (as
+//!   `None`), so callers that count visited cells count the same.
 
 use crate::geometry::Point2;
+
+/// `x.floor() as i32`, exactly, without calling libm's `floor`.
+///
+/// Agrees with `x.floor() as i32` for every `f64`, including NaN
+/// (0), ±∞ and values beyond the `i32` range (saturated).
+///
+/// ```
+/// use lgv_types::grid::floor_i32;
+/// assert_eq!(floor_i32(-0.5), -1);
+/// assert_eq!(floor_i32(2.999), 2);
+/// assert_eq!(floor_i32(f64::NAN), 0);
+/// ```
+#[inline]
+pub fn floor_i32(x: f64) -> i32 {
+    let t = x as i32;
+    t.saturating_sub(((t as f64) > x) as i32)
+}
 
 /// Integer cell coordinate in a grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,10 +164,11 @@ impl GridDims {
     }
 
     /// World point → containing cell (may be outside the grid).
+    #[inline]
     pub fn world_to_grid(&self, p: Point2) -> GridIndex {
         GridIndex::new(
-            ((p.x - self.origin.x) / self.resolution).floor() as i32,
-            ((p.y - self.origin.y) / self.resolution).floor() as i32,
+            floor_i32((p.x - self.origin.x) / self.resolution),
+            floor_i32((p.y - self.origin.y) / self.resolution),
         )
     }
 
@@ -226,6 +267,23 @@ impl GridRay {
     }
 }
 
+impl GridRay {
+    /// Step to the next cell across the nearer border; returns `true`
+    /// for a step in x, `false` for one in y.
+    #[inline]
+    fn advance(&mut self) -> bool {
+        if self.t_max_x < self.t_max_y {
+            self.t_max_x += self.t_delta_x;
+            self.cur.col += self.step_x;
+            true
+        } else {
+            self.t_max_y += self.t_delta_y;
+            self.cur.row += self.step_y;
+            false
+        }
+    }
+}
+
 impl Iterator for GridRay {
     type Item = GridIndex;
 
@@ -239,12 +297,88 @@ impl Iterator for GridRay {
             self.done = true;
             return Some(out);
         }
-        if self.t_max_x < self.t_max_y {
-            self.t_max_x += self.t_delta_x;
-            self.cur.col += self.step_x;
+        self.advance();
+        Some(out)
+    }
+}
+
+/// A [`GridRay`] stepped as row-major flat indices.
+///
+/// Yields one item per cell the ray crosses *before* its end cell:
+/// `Some(flat)` for a cell inside the grid, `None` for one outside.
+/// After the walk, [`FlatRay::reached_end`] tells whether the ray got
+/// to its end cell within the cell budget (a [`GridRay`] then yields
+/// that cell as its last item), and [`FlatRay::end_flat`] gives the
+/// end cell's index if it lies in the grid.
+#[derive(Debug, Clone)]
+pub struct FlatRay {
+    ray: GridRay,
+    /// Flat index of `ray.cur`, wrapping; meaningful only in bounds.
+    flat: usize,
+    /// Flat-index step for one cell in x (±1) and in y (±width).
+    stride_x: usize,
+    stride_y: usize,
+    width: u32,
+    height: u32,
+    col_in: bool,
+    row_in: bool,
+    end_flat: Option<usize>,
+}
+
+impl FlatRay {
+    /// Traversal from `from` to `to` (world coordinates); visits the
+    /// cells of [`GridRay::new`] with the same arguments.
+    pub fn new(dims: &GridDims, from: Point2, to: Point2) -> Self {
+        let ray = GridRay::new(dims, from, to);
+        let w = dims.width as usize;
+        let (col, row) = (ray.cur.col as isize as usize, ray.cur.row as isize as usize);
+        let end_flat = dims.contains(ray.end).then(|| dims.flat(ray.end));
+        FlatRay {
+            flat: row.wrapping_mul(w).wrapping_add(col),
+            stride_x: ray.step_x as isize as usize,
+            stride_y: (ray.step_y as isize as usize).wrapping_mul(w),
+            width: dims.width,
+            height: dims.height,
+            col_in: (ray.cur.col as u32) < dims.width,
+            row_in: (ray.cur.row as u32) < dims.height,
+            end_flat,
+            ray,
+        }
+    }
+
+    /// Flat index of the end cell, or `None` when it is off the grid.
+    pub fn end_flat(&self) -> Option<usize> {
+        self.end_flat
+    }
+
+    /// Whether the walk stopped at the end cell rather than on the
+    /// cell budget. Meaningful once iteration has returned `None`.
+    pub fn reached_end(&self) -> bool {
+        self.ray.done
+    }
+}
+
+impl Iterator for FlatRay {
+    type Item = Option<usize>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Option<usize>> {
+        let ray = &mut self.ray;
+        if ray.done || ray.remaining == 0 {
+            return None;
+        }
+        ray.remaining -= 1;
+        if ray.cur == ray.end {
+            ray.done = true;
+            return None;
+        }
+        let out = (self.col_in & self.row_in).then_some(self.flat);
+        if ray.advance() {
+            self.flat = self.flat.wrapping_add(self.stride_x);
+            self.col_in = (ray.cur.col as u32) < self.width;
         } else {
-            self.t_max_y += self.t_delta_y;
-            self.cur.row += self.step_y;
+            self.flat = self.flat.wrapping_add(self.stride_y);
+            self.row_in = (ray.cur.row as u32) < self.height;
         }
         Some(out)
     }
@@ -335,6 +469,60 @@ mod tests {
             GridRay::new(&d, Point2::new(0.55, 0.05), Point2::new(0.05, 0.05)).collect();
         assert_eq!(cells.first().copied(), Some(GridIndex::new(15, 10)));
         assert_eq!(cells.last().copied(), Some(GridIndex::new(10, 10)));
+    }
+
+    #[test]
+    fn floor_i32_matches_libm_floor_at_the_edges() {
+        let (min, max) = (i32::MIN as f64, i32::MAX as f64);
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+        ];
+        for k in [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 1e6, -1e6] {
+            xs.extend([k, k - 0.5, k + 0.5]);
+        }
+        for edge in [min, max] {
+            for d in [0.5, 1.0, 2.0] {
+                xs.extend([edge - d, edge + d]);
+            }
+            xs.push(edge);
+        }
+        for x in xs {
+            assert_eq!(
+                floor_i32(x),
+                x.floor() as i32,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+        assert_eq!(floor_i32(-0.5), -1);
+        assert_eq!(floor_i32(min - 0.5), i32::MIN);
+        assert_eq!(floor_i32(max + 0.5), i32::MAX);
+    }
+
+    #[test]
+    fn flat_ray_reports_off_grid_cells_and_the_end() {
+        let d = dims();
+        // From inside across the left edge: cells (10..=0, 10), then
+        // (-1, 10) and (-2, 10) off the grid, ending in (-3, 10).
+        let mut ray = FlatRay::new(&d, Point2::new(0.05, 0.05), Point2::new(-1.25, 0.05));
+        let cells: Vec<_> = ray.by_ref().collect();
+        assert_eq!(cells.len(), 13);
+        assert_eq!(cells[0], Some(d.flat(GridIndex::new(10, 10))));
+        assert_eq!(cells[10], Some(d.flat(GridIndex::new(0, 10))));
+        assert_eq!(&cells[11..], &[None, None]);
+        assert!(ray.reached_end());
+        assert_eq!(ray.end_flat(), None);
     }
 
     #[test]

@@ -90,6 +90,43 @@ proptest! {
     }
 
     #[test]
+    fn flat_ray_visits_the_grid_ray_cells(
+        x0 in -2.0f64..8.0, y0 in -2.0f64..7.0,
+        x1 in -2.0f64..8.0, y1 in -2.0f64..7.0,
+        snap in 0u8..4,
+    ) {
+        // Grid 6 × 5 m with its origin off zero, segments starting and
+        // ending on either side of its edges; `snap` puts the start on
+        // a cell border so some rays run along borders.
+        let dims = GridDims::new(48, 40, 0.125, Point2::new(-0.5, -0.25));
+        let from = match snap {
+            0 => Point2::new((x0 * 8.0).round() / 8.0 - 0.5, y0),
+            1 => Point2::new(x0, (y0 * 8.0).round() / 8.0 - 0.25),
+            _ => Point2::new(x0, y0),
+        };
+        let to = if snap == 3 { Point2::new(from.x + (x1 - x0), from.y) } else { Point2::new(x1, y1) };
+        let cells: Vec<GridIndex> = GridRay::new(&dims, from, to).collect();
+        let end = dims.world_to_grid(to);
+        let before_end: Vec<Option<usize>> = cells
+            .iter()
+            .take_while(|&&c| c != end)
+            .map(|&c| dims.contains(c).then(|| dims.flat(c)))
+            .collect();
+        let mut ray = FlatRay::new(&dims, from, to);
+        let flat: Vec<Option<usize>> = ray.by_ref().collect();
+        prop_assert_eq!(flat, before_end);
+        prop_assert_eq!(ray.reached_end(), cells.last() == Some(&end));
+        prop_assert_eq!(ray.end_flat(), dims.contains(end).then(|| dims.flat(end)));
+    }
+
+    #[test]
+    fn floor_i32_is_floor_near_integers_and_the_i32_edges(k in any::<i32>(), d in -2.0f64..2.0) {
+        for x in [k as f64 + d, k as f64 + d * 1e-9, d * 1e-300, (k as f64) * 4.0] {
+            prop_assert_eq!(lgv_types::floor_i32(x), x.floor() as i32, "x = {:e}", x);
+        }
+    }
+
+    #[test]
     fn duration_secs_roundtrip(s in 0.0f64..1e6) {
         let d = Duration::from_secs_f64(s);
         prop_assert!((d.as_secs_f64() - s).abs() < 1e-6);
@@ -129,5 +166,14 @@ proptest! {
         prop_assert_eq!(set.len(), kinds.len());
         let back: Vec<NodeKind> = set.iter().collect();
         prop_assert_eq!(back, kinds);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn floor_i32_is_floor_for_any_bit_pattern(x in any::<f64>()) {
+        prop_assert_eq!(lgv_types::floor_i32(x), x.floor() as i32, "x = {:e} ({:#x})", x, x.to_bits());
     }
 }

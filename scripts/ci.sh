@@ -28,6 +28,10 @@
 #             fleet, chaos) at seed 0 and at the held-out seed 11:
 #             every MissionReport fingerprint and chaos trace hash must
 #             match perfbench/expected.json and no mission may fail
+#   contract — the behavioural contract: a full-size run of every
+#             suite scenario (release mode, all cores) must reproduce
+#             each FNV-1a checksum committed in BENCH_suite.json; the
+#             failure names every scenario that moved
 #
 # Stage selection: set LGV_CI_STAGES to a comma- or space-separated
 # subset (e.g. LGV_CI_STAGES=clippy,fmt,docs ./scripts/ci.sh). Stages
@@ -41,7 +45,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STAGES="build tests clippy fmt docs suite perf noprof perfbench"
+ALL_STAGES="build tests clippy fmt docs suite perf noprof perfbench contract"
 SELECT="${LGV_CI_STAGES:-$ALL_STAGES}"
 SELECT="${SELECT//,/ }"
 for s in $SELECT; do
@@ -181,6 +185,14 @@ PY
     done
 }
 
+stage_contract() {
+    # Full-size suite vs the committed BENCH_suite.json checksums
+    # (crates/bench/tests/contract.rs). Minutes, not seconds: fig13
+    # and fleet dominate. An "exact" rewrite that moves any scenario's
+    # output fails here, by name.
+    cargo test --release -q -p lgv-bench --test contract -- --ignored --nocapture
+}
+
 run_stage build  "cargo build --release"
 run_stage tests  "cargo test"
 run_stage clippy "cargo clippy (warnings denied)"
@@ -190,6 +202,7 @@ run_stage suite  "evaluation-suite gate (quick, all scenarios)"
 run_stage perf   "perf-regression gate (vs committed quick baseline)"
 run_stage noprof "no-prof control build (checksum identity)"
 run_stage perfbench "repo benchmark, one unit per workload (fingerprint identity)"
+run_stage contract "full-size suite vs committed BENCH_suite.json checksums"
 
 echo
 echo "stage timings:"
